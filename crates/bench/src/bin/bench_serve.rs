@@ -18,7 +18,7 @@
 //!   persistent pool (PEs and buffers reset in place, zero planning —
 //!   asserted);
 //! * **batched** — [`ganax::InferenceEngine::execute_batch`] amortizing
-//!   staged weight streams across batch × rows on a 4+-worker pool.
+//!   weight-stream loads across batch × rows on a 4+-worker pool.
 //!
 //! On top of the single-request paths, the offered-load sweep drives the
 //! async [`ganax::serve::Server`] through seeded Poisson arrival schedules

@@ -850,7 +850,9 @@ pub struct ServeBenchReport {
 #[derive(Debug, Clone, Serialize)]
 pub struct SilentCorruptionRow {
     /// Flip kind: `"input-flip"` (gathered operand streams) or
-    /// `"weight-flip"` (staged weight streams, shared across rows).
+    /// `"weight-flip"` (weight streams as loaded into the scratchpad from
+    /// the plan's compact kernel rows; the same flip hits every row that
+    /// load serves).
     pub kind: String,
     /// Seed of the flip schedule (empirically chosen — see
     /// [`integrity_bench`]).

@@ -14,7 +14,7 @@
 //!   batches, plus recycled operand/output buffers — so the serving steady
 //!   state performs no planning and no allocation churn;
 //! * [`InferenceEngine::execute_batch`] shards *batch × phase-major output
-//!   rows* across the pool and amortizes gathered weight streams across every
+//!   rows* across the pool and amortizes each weight-stream load across every
 //!   resident row of every batch element.
 //!
 //! All three paths are **bit-identical** to the per-layer fast path of
@@ -93,7 +93,7 @@ enum CompiledLayer {
     Machine {
         /// The layer description, shared with worker threads.
         layer: Arc<Layer>,
-        /// The hoisted plan (taps, chunks, reordered/flipped weight rows).
+        /// The hoisted plan (taps, chunks, compact flipped kernel rows).
         plan: Arc<PlannedLayer>,
     },
 }
@@ -185,6 +185,19 @@ impl CompiledNetwork {
     /// Wall-clock seconds spent validating and planning at compile time.
     pub fn plan_seconds(&self) -> f64 {
         self.plan_seconds
+    }
+
+    /// Heap bytes held by the PE-array layers' plans: per layer, one compact
+    /// copy of the (flipped) kernel rows plus the tap, chunk and ABFT
+    /// checksum tables. The weight bundle itself is not counted.
+    pub fn plan_bytes(&self) -> usize {
+        self.layers
+            .iter()
+            .map(|l| match l {
+                CompiledLayer::Host => 0,
+                CompiledLayer::Machine { plan, .. } => plan.plan.heap_bytes(),
+            })
+            .sum()
     }
 
     /// Number of layers that execute on the PE array (the rest are host
@@ -401,9 +414,10 @@ fn worker_loop(shared: Arc<PoolShared>) {
 /// `[element][row slot][channel][column]`, zeroed here in place).
 ///
 /// The loop nests `ky → ci → chunk → row block → channel group → row` so a
-/// gathered weight stream, staged once per `(chunk, group)`, serves every
-/// resident row of every batch element, and a whole block of gathered input
-/// streams stays resident in the input scratchpad across all channel groups
+/// channel group's weight streams, expanded from the plan's compact kernel
+/// rows once per `(chunk, group)` load, serve every resident row of every
+/// batch element, and a whole block of gathered input streams stays resident
+/// in the input scratchpad across all channel groups
 /// (each dispatch selects its stream through the input generator's offset
 /// register). Per dispatch this issues exactly the per-layer fast path's
 /// program — same generators, same µop pairs, same burst — so busy cycles,
@@ -504,7 +518,6 @@ fn run_resident_shard(
                                 accumulate_input_checksum(
                                     plan,
                                     chunk_idx,
-                                    stream,
                                     ky,
                                     ci,
                                     sub,
@@ -524,7 +537,6 @@ fn run_resident_shard(
                             pe,
                             plan,
                             chunk_idx,
-                            stream,
                             group,
                             co0,
                             ci,
@@ -883,8 +895,8 @@ impl InferenceEngine {
             match &compiled.layers[i] {
                 CompiledLayer::Host => {
                     let mut out = host_projection(layer, &current, compiled.weights.weight(i))?;
-                    finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                     check_finite(&layer.name, &out)?;
+                    finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                     current = Arc::new(out);
                     reports.push(LayerExecution {
                         name: layer.name.clone(),
@@ -915,8 +927,8 @@ impl InferenceEngine {
                     } else {
                         run.busy_pe_cycles as f64 / (run.shard_busy.len() as u64 * max_shard) as f64
                     };
-                    finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                     self.check_verified_finite(&layer.name, &out)?;
+                    finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                     current = Arc::new(out);
                     reports.push(LayerExecution {
                         name: layer.name.clone(),
@@ -990,8 +1002,8 @@ impl InferenceEngine {
                 CompiledLayer::Host => {
                     for current in currents.iter_mut() {
                         let mut out = host_projection(layer, current, compiled.weights.weight(i))?;
-                        finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                         check_finite(&layer.name, &out)?;
+                        finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                         *current = Arc::new(out);
                     }
                 }
@@ -1002,8 +1014,8 @@ impl InferenceEngine {
                     let layer_inputs = Arc::new(currents.clone());
                     let run = self.run_layer(shared, plan, i, layer_inputs)?;
                     for (current, mut out) in currents.iter_mut().zip(run.outputs) {
-                        finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                         self.check_verified_finite(&layer.name, &out)?;
+                        finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                         *current = Arc::new(out);
                     }
                     busy_pe_cycles += run.busy_pe_cycles;
@@ -1347,11 +1359,15 @@ impl Drop for InferenceEngine {
     }
 }
 
-/// Rejects a finished layer output containing NaN or ±inf with a typed
+/// Rejects a layer's raw output containing NaN or ±inf with a typed
 /// [`MachineError::NonFiniteOutput`] naming the layer and the first offending
 /// element — the guard that turns silently-poisoned activations (a
 /// [`FaultKind::NAN_POISON`](ganax_sim::FaultKind) hit, or a genuine numeric
 /// blow-up) into a typed, retryable failure instead of corrupt responses.
+///
+/// Callers check *before* [`finish_layer_output`]: the epilogue can hide a
+/// NaN (ReLU is `f32::max(x, 0.0)`, and `f32::max(NaN, 0.0)` is `0.0`), which
+/// would turn a detectable fault into a silently wrong value.
 fn check_finite(layer: &str, output: &Tensor) -> Result<(), MachineError> {
     if let Some(index) = output.data().iter().position(|v| !v.is_finite()) {
         return Err(MachineError::NonFiniteOutput {
@@ -1551,7 +1567,8 @@ mod tests {
         let weights = toy_weights(&net, 71);
         let input = Tensor::deterministic(net.input_shape(), 73);
         let clean = clean_output(&net, &weights, &input);
-        // Target the tanh layer: relu's `max(0.0)` flushes NaN, tanh keeps it.
+        // Target the tanh layer (`nan_behind_relu_surfaces_as_non_finite_output`
+        // covers the ReLU ones).
         let spec = FaultSpec {
             layer: 2,
             ..FaultSpec::seeded(7, 1_000_000, FaultKind::NAN_POISON)
@@ -1629,5 +1646,87 @@ mod tests {
         // the abandoned wave left no stale tasks behind.
         assert_eq!(engine.respawns(), 0);
         assert!(lock_unpoisoned(&engine.shared.state).tasks.is_empty());
+    }
+
+    /// A NaN produced by a ReLU layer must surface as a typed
+    /// `NonFiniteOutput` on every path: the guard runs on the raw layer
+    /// output, before ReLU's `max(0.0)` could flush the NaN to zero.
+    #[test]
+    fn nan_behind_relu_surfaces_as_non_finite_output() {
+        let net = toy_network();
+        let weights = toy_weights(&net, 71);
+        let input = Tensor::deterministic(net.input_shape(), 73);
+        // Layer 1 (`up1`) is a ReLU transposed convolution.
+        let spec = FaultSpec {
+            layer: 1,
+            ..FaultSpec::seeded(7, 1_000_000, FaultKind::NAN_POISON)
+        };
+        // The poison is transient (it fires in one epoch), so each path gets
+        // a fresh engine.
+        let engine = InferenceEngine::new(faulty_machine(spec), 2);
+        let compiled = engine.compile(&net, &weights).unwrap();
+        match engine.execute(&compiled, &input) {
+            Err(MachineError::NonFiniteOutput { layer, .. }) => assert_eq!(layer, "up1"),
+            other => panic!("expected NonFiniteOutput, got {other:?}"),
+        }
+        let engine = InferenceEngine::new(faulty_machine(spec), 2);
+        match engine.execute_batch(&compiled, &[input.clone(), input.clone()]) {
+            Err(MachineError::NonFiniteOutput { layer, .. }) => assert_eq!(layer, "up1"),
+            other => panic!("expected NonFiniteOutput from the batch, got {other:?}"),
+        }
+
+        // The host projection (also ReLU) is guarded the same way.
+        let mut tensors: Vec<Tensor> = (0..net.layers().len())
+            .map(|i| weights.weight(i).clone())
+            .collect();
+        tensors[0].data_mut()[0] = f32::NAN;
+        let poisoned = NetworkWeights::new(&net, tensors).unwrap();
+        let engine = InferenceEngine::new(GanaxMachine::paper(), 2);
+        let compiled = engine.compile(&net, &poisoned).unwrap();
+        match engine.execute(&compiled, &input) {
+            Err(MachineError::NonFiniteOutput { layer, .. }) => assert_eq!(layer, "project"),
+            other => panic!("expected NonFiniteOutput, got {other:?}"),
+        }
+        match engine.execute_batch(&compiled, std::slice::from_ref(&input)) {
+            Err(MachineError::NonFiniteOutput { layer, .. }) => assert_eq!(layer, "project"),
+            other => panic!("expected NonFiniteOutput from the batch, got {other:?}"),
+        }
+    }
+
+    /// A compiled plan costs about one copy of the PE-array layers' weights:
+    /// for every zoo generator (3D-GAN at its full-channel 2-D
+    /// cross-section), plan bytes stay within 1.05x the conv/tconv weight
+    /// bytes plus the taps-long ABFT checksum tables.
+    #[test]
+    fn plan_bytes_stay_near_the_raw_weights() {
+        let engine = InferenceEngine::new(GanaxMachine::paper(), 1);
+        for gan in ganax_models::zoo::all_models() {
+            let net = gan.generator.reduced(usize::MAX).unwrap();
+            let weights = toy_weights(&net, 3);
+            let compiled = engine.compile(&net, &weights).unwrap();
+            let mut weight_bytes = 0;
+            let mut checksum_bytes = 0;
+            for (i, layer) in compiled.layers.iter().enumerate() {
+                if let CompiledLayer::Machine { plan, .. } = layer {
+                    weight_bytes += std::mem::size_of_val(weights.weight(i).data());
+                    checksum_bytes += std::mem::size_of_val(&plan.plan.checksums[..])
+                        + std::mem::size_of_val(&plan.plan.abs_checksums[..]);
+                }
+            }
+            let bound = weight_bytes as f64 * 1.05 + checksum_bytes as f64;
+            println!(
+                "{}: plan {} B, weights {} B, checksums {} B",
+                gan.name,
+                compiled.plan_bytes(),
+                weight_bytes,
+                checksum_bytes
+            );
+            assert!(
+                compiled.plan_bytes() as f64 <= bound,
+                "{}: plan {} B exceeds {bound} B",
+                gan.name,
+                compiled.plan_bytes()
+            );
+        }
     }
 }

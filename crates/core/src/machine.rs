@@ -198,15 +198,24 @@ pub(crate) struct ColumnRun {
     pub(crate) taps: usize,
 }
 
-/// A run of same-phase consequential output columns sharing a tap count,
-/// dispatched to a PE as one program: gathered operand streams, linear
-/// operand index generators, a strided output generator, and one
-/// `repeat`+`mac` µop pair per column.
+impl ColumnRun {
+    /// The kernel offsets the run reads: `(taps, kernel_start, kernel_step)`.
+    fn kernel_offsets(&self) -> (usize, usize, usize) {
+        (self.taps, self.kernel_start, self.kernel_step)
+    }
+}
+
+/// A run of same-phase consequential output columns that read the same
+/// kernel offsets, dispatched to a PE as one program: gathered operand
+/// streams, linear operand index generators, a strided output generator, and
+/// one `repeat`+`mac` µop pair per column.
 ///
 /// Phases are the paper's Figure 5 structure: transposed-convolution columns
-/// with the same `ox mod stride` residue read the same number of consequential
+/// with the same `ox mod stride` residue read the same consequential kernel
 /// taps, so grouping by residue yields long equal-repeat runs where grouping
-/// consecutive columns would alternate tap counts every column.
+/// consecutive columns would alternate tap counts every column. Because every
+/// column of a chunk shares `(taps, kernel_start, kernel_step)`, a channel's
+/// weight stream is one `taps`-long kernel gather repeated `cols` times.
 #[derive(Debug, Clone)]
 pub(crate) struct ColumnChunk {
     /// First output column of the chunk.
@@ -217,16 +226,17 @@ pub(crate) struct ColumnChunk {
     pub(crate) cols: usize,
     /// Consequential taps of every column in the chunk.
     pub(crate) taps: usize,
-    /// Per stream element, the weight-row offset it gathers (`cols × taps`
-    /// entries; offsets are bounded by the kernel width).
-    pub(crate) weight_offsets: Vec<u16>,
+    /// First kernel column every column of the chunk reads.
+    pub(crate) kernel_start: usize,
+    /// Kernel-column stride between consecutive taps.
+    pub(crate) kernel_step: usize,
 }
 
 /// Everything about a layer that the seed implementation recomputed per work
 /// unit, hoisted out of the hot loop: consequential vertical taps per output
-/// row, consequential column runs per output column (grouped into
-/// equal-tap-count chunks), and pre-gathered weight rows (spatially flipped
-/// for transposed convolutions). Shared read-only by every worker PE.
+/// row, consequential column runs per output column (grouped into chunks that
+/// share kernel offsets), and the kernel rows (spatially flipped for
+/// transposed convolutions). Shared read-only by every worker PE.
 pub(crate) struct LayerPlan {
     /// Per output row: the consequential `(ky, iy)` vertical taps.
     pub(crate) row_taps: Vec<Vec<(usize, usize)>>,
@@ -239,49 +249,44 @@ pub(crate) struct LayerPlan {
     pub(crate) column_runs: Vec<Option<ColumnRun>>,
     /// Consequential columns grouped into dispatchable chunks.
     pub(crate) chunks: Vec<ColumnChunk>,
-    /// Every chunk's gathered weight streams, pre-staged at plan time: for
-    /// chunk `x`, the stream of `(ky, ci, co)` starts at
-    /// `weight_stream_base[x] + ((ky * input_channels + ci) * output_channels
-    /// + co) * stream` and runs `stream = taps × cols` words. Weight gathering
-    /// is row-independent, so the seed path's per-(row × shard) re-gather —
-    /// the dominant duplicated work under threading — collapses to one
-    /// `memcpy` per dispatch. `co` is innermost so a whole channel group's
-    /// streams are one contiguous slice.
-    pub(crate) weight_streams: Vec<f32>,
-    /// Per chunk: base offset of its streams in `weight_streams`.
-    pub(crate) weight_stream_base: Vec<usize>,
-    /// ABFT weight checksums, precomputed at plan time: for chunk `x`, the
-    /// checksum stream of `(ky, ci)` starts at `checksum_stream_base[x] +
-    /// (ky * input_channels + ci) * stream` and holds, per stream element,
-    /// the f64 sum of that element's weight over every output channel
-    /// (`co` ascending — the Huang–Abraham column sum). Dotting a clean
-    /// gathered input stream with this predicts the sum of the work unit's
-    /// contributions across all output channels.
-    pub(crate) checksum_streams: Vec<f64>,
-    /// Companion magnitude streams: the same layout, holding the sum of
+    /// One copy of the layer's weights as the PEs read them
+    /// ([`machine_weight`]: flipped for transposed convolutions), laid out
+    /// `[ky][ci][co][kx]`; `co` is inner to `ci` so a channel group's rows
+    /// are one contiguous slice. [`load_chunk_weights`] expands a group's
+    /// `taps × cols` streams from it at load time, the way the paper's
+    /// strided/repeat address generators walk a stream instead of
+    /// materializing it.
+    pub(crate) kernel_rows: Vec<f32>,
+    /// ABFT weight checksums, laid out `[ky][ci][kx]`: per kernel tap, the
+    /// f64 sum of its weight over every output channel (`co` ascending — the
+    /// Huang–Abraham column sum). Dotting each column of a clean gathered
+    /// input stream with the chunk's taps of this table predicts the sum of
+    /// the work unit's contributions across all output channels.
+    pub(crate) checksums: Vec<f64>,
+    /// Companion magnitude table: the same layout, holding the sum of
     /// *absolute* weights over the output channels. Dotted with `|x|` this
     /// upper-bounds the total product magnitude feeding a row — the scale
     /// the verification tolerance is derived from (a cancellation-proof
     /// bound, unlike `|checksum|`).
-    pub(crate) abs_checksum_streams: Vec<f64>,
-    /// Per chunk: base offset of its streams in `checksum_streams` /
-    /// `abs_checksum_streams`.
-    pub(crate) checksum_stream_base: Vec<usize>,
+    pub(crate) abs_checksums: Vec<f64>,
     /// Kernel height (rows per `(co, ci)` filter plane).
     pub(crate) kernel_h: usize,
-    /// Input channels (stride of the `co` index).
+    /// Kernel width (words per kernel row).
+    pub(crate) kernel_w: usize,
+    /// Input channels (stride of the `ky` index in the row layout).
     pub(crate) input_channels: usize,
-    /// Output channels (stride of the `ci` index in the stream layout).
+    /// Output channels (stride of the `ci` index in the row layout).
     pub(crate) output_channels: usize,
 }
 
 impl LayerPlan {
-    /// Groups same-phase consequential columns with equal tap counts into
-    /// chunks sized so one chunk's gathered operand streams fit the PE
-    /// scratchpads and its µop pairs fit the µop FIFO. Walking each
-    /// `ox mod stride` residue class separately keeps tap counts constant
-    /// along a chunk (the phase structure of the reorganized dataflow), so a
-    /// whole output row dispatches as a handful of chunks.
+    /// Groups same-phase consequential columns that read the same kernel
+    /// offsets `(taps, kernel_start, kernel_step)` into chunks sized so one
+    /// chunk's gathered operand streams fit the PE scratchpads and its µop
+    /// pairs fit the µop FIFO. Walking each `ox mod stride` residue class
+    /// separately keeps the offsets constant along a chunk (the phase
+    /// structure of the reorganized dataflow), so a whole output row
+    /// dispatches as a handful of chunks.
     fn build_chunks(
         column_runs: &[Option<ColumnRun>],
         params: &ConvParams,
@@ -296,38 +301,30 @@ impl LayerPlan {
         for residue in 0..col_step {
             let mut ox = residue;
             while ox < column_runs.len() {
-                let Some(run) = &column_runs[ox] else {
+                let Some(run) = column_runs[ox] else {
                     ox += col_step;
                     continue;
                 };
-                let taps = run.taps;
                 let max_cols = max_pairs
-                    .min(pe.input_words / taps)
-                    .min(pe.weight_words / taps)
+                    .min(pe.input_words / run.taps)
+                    .min(pe.weight_words / run.taps)
                     .max(1);
                 let mut cols = 1;
                 while cols < max_cols
                     && column_runs
                         .get(ox + cols * col_step)
                         .and_then(|r| r.as_ref())
-                        .is_some_and(|r| r.taps == taps)
+                        .is_some_and(|r| r.kernel_offsets() == run.kernel_offsets())
                 {
                     cols += 1;
                 }
-                let weight_offsets = (0..cols)
-                    .flat_map(|c| {
-                        let run = column_runs[ox + c * col_step]
-                            .as_ref()
-                            .expect("chunk covers consequential columns");
-                        (0..taps).map(move |j| (run.kernel_start + j * run.kernel_step) as u16)
-                    })
-                    .collect();
                 chunks.push(ColumnChunk {
                     ox_start: ox,
                     col_step,
                     cols,
-                    taps,
-                    weight_offsets,
+                    taps: run.taps,
+                    kernel_start: run.kernel_start,
+                    kernel_step: run.kernel_step,
                 });
                 ox += cols * col_step;
             }
@@ -366,71 +363,31 @@ impl LayerPlan {
 
         let (kernel_h, kernel_w) = (params.kernel.1, params.kernel.2);
         let (co_count, ci_count) = (layer.output.channels, layer.input.channels);
-        let mut weight_rows = vec![0.0f32; co_count * ci_count * kernel_h * kernel_w];
-        let mut idx = 0;
-        for co in 0..co_count {
-            for ci in 0..ci_count {
-                for ky in 0..kernel_h {
-                    for kx in 0..kernel_w {
-                        // The machine gathers over the zero-inserted domain,
-                        // so for transposed convolutions the kernel is
-                        // spatially flipped (the classical adjoint
-                        // relationship — see
-                        // `ganax_tensor::tconv_via_zero_insertion`).
-                        weight_rows[idx] = if layer.is_tconv() {
-                            weights.at_filter(co, ci, 0, kernel_h - 1 - ky, kernel_w - 1 - kx)
-                        } else {
-                            weights.at_filter(co, ci, 0, ky, kx)
-                        };
-                        idx += 1;
-                    }
-                }
+        // Read each `(co, ci)` filter plane once, whole: for a fixed `ci`,
+        // every `ky` then writes its own sequential run of rows.
+        let mut kernel_rows = vec![0.0f32; kernel_h * ci_count * co_count * kernel_w];
+        for (ci, co, ky) in (0..ci_count).flat_map(|ci| {
+            (0..co_count).flat_map(move |co| (0..kernel_h).map(move |ky| (ci, co, ky)))
+        }) {
+            let row = ((ky * ci_count + ci) * co_count + co) * kernel_w;
+            for (kx, w) in kernel_rows[row..row + kernel_w].iter_mut().enumerate() {
+                *w = machine_weight(params, weights, co, ci, ky, kx);
             }
         }
-        // Stage every chunk's gathered weight streams once at plan time
-        // (they depend only on `(chunk, ky, ci, co)`, never on the output
-        // row), so the hot path loads weights with a straight copy instead
-        // of re-gathering the same stream for every row on every worker.
-        let total_stream: usize = chunks.iter().map(|c| c.taps * c.cols).sum();
-        let mut weight_streams = Vec::with_capacity(total_stream * kernel_h * ci_count * co_count);
-        let mut weight_stream_base = Vec::with_capacity(chunks.len());
-        // The ABFT column-sum checksums ride along: per `(chunk, ky, ci)`
-        // stream element, the (f64) sum of the weight over every output
-        // channel, plus the absolute-value companion that scales the
-        // verification tolerance. Both are cheap (one extra pass over data
-        // already being staged) and built unconditionally, so a plan is
-        // valid under every `IntegrityMode`.
-        let mut checksum_streams = Vec::with_capacity(total_stream * kernel_h * ci_count);
-        let mut abs_checksum_streams = Vec::with_capacity(total_stream * kernel_h * ci_count);
-        let mut checksum_stream_base = Vec::with_capacity(chunks.len());
-        for chunk in &chunks {
-            weight_stream_base.push(weight_streams.len());
-            checksum_stream_base.push(checksum_streams.len());
-            for ky in 0..kernel_h {
-                for ci in 0..ci_count {
-                    for co in 0..co_count {
-                        let row = (co * ci_count + ci) * kernel_h + ky;
-                        let weight_row = &weight_rows[row * kernel_w..(row + 1) * kernel_w];
-                        weight_streams.extend(
-                            chunk
-                                .weight_offsets
-                                .iter()
-                                .map(|&offset| weight_row[offset as usize]),
-                        );
-                    }
-                    let stream = chunk.taps * chunk.cols;
-                    let group = &weight_streams[weight_streams.len() - co_count * stream..];
-                    for element in 0..stream {
-                        let mut sum = 0.0f64;
-                        let mut abs = 0.0f64;
-                        for co in 0..co_count {
-                            let w = f64::from(group[co * stream + element]);
-                            sum += w;
-                            abs += w.abs();
-                        }
-                        checksum_streams.push(sum);
-                        abs_checksum_streams.push(abs);
-                    }
+        // The ABFT column-sum checksums (and the absolute-value companion
+        // that scales the verification tolerance): cheap, and built
+        // unconditionally so a plan is valid under every `IntegrityMode`.
+        let mut checksums = vec![0.0f64; kernel_h * ci_count * kernel_w];
+        let mut abs_checksums = checksums.clone();
+        for ((group, sums), abs) in kernel_rows
+            .chunks_exact(co_count * kernel_w)
+            .zip(checksums.chunks_exact_mut(kernel_w))
+            .zip(abs_checksums.chunks_exact_mut(kernel_w))
+        {
+            for row in group.chunks_exact(kernel_w) {
+                for ((sum, abs), &w) in sums.iter_mut().zip(abs.iter_mut()).zip(row) {
+                    *sum += f64::from(w);
+                    *abs += f64::from(w).abs();
                 }
             }
         }
@@ -440,15 +397,30 @@ impl LayerPlan {
             row_order,
             column_runs,
             chunks,
-            weight_streams,
-            weight_stream_base,
-            checksum_streams,
-            abs_checksum_streams,
-            checksum_stream_base,
+            kernel_rows,
+            checksums,
+            abs_checksums,
             kernel_h,
+            kernel_w,
             input_channels: ci_count,
             output_channels: co_count,
         }
+    }
+
+    /// Heap bytes the plan holds (allocated capacity of every table).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let row_taps: usize = self.row_taps.iter().map(bytes).sum();
+        row_taps
+            + bytes(&self.row_taps)
+            + bytes(&self.row_order)
+            + bytes(&self.column_runs)
+            + bytes(&self.chunks)
+            + bytes(&self.kernel_rows)
+            + bytes(&self.checksums)
+            + bytes(&self.abs_checksums)
     }
 }
 
@@ -511,27 +483,31 @@ pub(crate) fn row_checksum_ok(plan: &LayerPlan, oy: usize, check: &RowChecksum) 
 
 /// Folds one *clean* (pre-corruption) gathered input stream into a row's
 /// checksum accumulators: the predicted output checksum gains
-/// `Σ checksum(W)[el] · x[el]`, the magnitude bound gains
-/// `Σ |W|-checksum[el] · |x[el]|`. Must be called between gathering and
-/// fault corruption — corruption applies to the stream the PEs actually
-/// consume, so checksumming afterwards would make the prediction track the
-/// corruption instead of detecting it.
+/// `Σ checksum(W)[tap] · x[el]`, the magnitude bound gains
+/// `Σ |W|-checksum[tap] · |x[el]|`, walking the stream's columns in order.
+/// Must be called between gathering and fault corruption — corruption
+/// applies to the stream the PEs actually consume, so checksumming afterwards
+/// would make the prediction track the corruption instead of detecting it.
 pub(crate) fn accumulate_input_checksum(
     plan: &LayerPlan,
     chunk_idx: usize,
-    stream: usize,
     ky: usize,
     ci: usize,
     clean: &[f32],
     check: &mut RowChecksum,
 ) {
-    let base = plan.checksum_stream_base[chunk_idx] + (ky * plan.input_channels + ci) * stream;
-    let csum = &plan.checksum_streams[base..base + stream];
-    let abs = &plan.abs_checksum_streams[base..base + stream];
-    for (element, &x) in clean.iter().enumerate() {
-        let x = f64::from(x);
-        check.predicted += csum[element] * x;
-        check.magnitude += abs[element] * x.abs();
+    let chunk = &plan.chunks[chunk_idx];
+    let start = (ky * plan.input_channels + ci) * plan.kernel_w + chunk.kernel_start;
+    let span = start..start + (chunk.taps - 1) * chunk.kernel_step + 1;
+    let csum = &plan.checksums[span.clone()];
+    let abs = &plan.abs_checksums[span];
+    for column in clean.chunks_exact(chunk.taps) {
+        let taps = csum.iter().zip(abs).step_by(chunk.kernel_step);
+        for (&x, (&c, &a)) in column.iter().zip(taps) {
+            let x = f64::from(x);
+            check.predicted += c * x;
+            check.magnitude += a * x.abs();
+        }
     }
 }
 
@@ -736,7 +712,7 @@ impl GanaxMachine {
     /// it: the hoisted [`LayerPlan`] and the PE sizing the plan was built for.
     ///
     /// Planning is the expensive per-layer prologue (tap analysis, chunking,
-    /// weight gathering); separating it from execution lets
+    /// kernel-row flipping, checksum tables); separating it from execution lets
     /// [`crate::network::NetworkExecution`] stage layer `N + 1`'s plan on a
     /// spare thread while layer `N` is still retiring.
     pub(crate) fn plan_layer(
@@ -773,11 +749,7 @@ impl GanaxMachine {
         threads: usize,
         layer_index: usize,
     ) -> Result<(MachineRun, Vec<u64>), MachineError> {
-        if input.shape() != layer.input {
-            return Err(MachineError::ShapeMismatch {
-                detail: format!("input {} != layer input {}", input.shape(), layer.input),
-            });
-        }
+        check_input(layer, input)?;
         let pe_config = &planned.pe_config;
         let plan = &planned.plan;
         let mut output = Tensor::zeros(layer.output);
@@ -943,7 +915,8 @@ impl GanaxMachine {
         self.config
             .validate()
             .map_err(|error| MachineError::Config { error })?;
-        let params = self.validate(layer, input, weights)?;
+        let params = self.validate_weights(layer, weights)?;
+        check_input(layer, input)?;
         let geometry = LayerGeometry::for_layer(layer);
         let mut output = Tensor::zeros(layer.output);
         let mut counts = EventCounts::default();
@@ -974,19 +947,7 @@ impl GanaxMachine {
                             .map(|ix| input.at(ci, 0, iy, ix))
                             .collect();
                         let weight_row: Vec<f32> = (0..params.kernel.2)
-                            .map(|kx| {
-                                if layer.is_tconv() {
-                                    weights.at_filter(
-                                        co,
-                                        ci,
-                                        0,
-                                        params.kernel.1 - 1 - ky,
-                                        params.kernel.2 - 1 - kx,
-                                    )
-                                } else {
-                                    weights.at_filter(co, ci, 0, ky, kx)
-                                }
-                            })
+                            .map(|kx| machine_weight(&params, weights, co, ci, ky, kx))
                             .collect();
                         let (unit_busy, unit_counts) = run_unit_single_step(
                             &mut pe,
@@ -1012,23 +973,6 @@ impl GanaxMachine {
             counts,
             work_units,
         })
-    }
-
-    /// Checks layer support and tensor shapes, returning the convolution
-    /// parameters.
-    fn validate(
-        &self,
-        layer: &Layer,
-        input: &Tensor,
-        weights: &Tensor,
-    ) -> Result<ConvParams, MachineError> {
-        let params = self.validate_weights(layer, weights)?;
-        if input.shape() != layer.input {
-            return Err(MachineError::ShapeMismatch {
-                detail: format!("input {} != layer input {}", input.shape(), layer.input),
-            });
-        }
-        Ok(params)
     }
 
     /// Checks layer support and the weight tensor's shape (everything the
@@ -1069,6 +1013,16 @@ impl GanaxMachine {
         }
         Ok(params)
     }
+}
+
+/// Checks the input tensor matches the layer.
+fn check_input(layer: &Layer, input: &Tensor) -> Result<(), MachineError> {
+    if input.shape() != layer.input {
+        return Err(MachineError::ShapeMismatch {
+            detail: format!("input {} != layer input {}", input.shape(), layer.input),
+        });
+    }
+    Ok(())
 }
 
 /// Runs every work unit of one shard of whole output rows (`oy` slices, all
@@ -1138,9 +1092,7 @@ fn run_shard(
                         if verify {
                             // Checksum the stream *before* corruption: the
                             // prediction must track the clean computation.
-                            accumulate_input_checksum(
-                                plan, chunk_idx, stream, ky, ci, buf, &mut check,
-                            );
+                            accumulate_input_checksum(plan, chunk_idx, ky, ci, buf, &mut check);
                         }
                         faults.corrupt_input_stream(oy, base, buf);
                     });
@@ -1154,7 +1106,6 @@ fn run_shard(
                             &mut pe,
                             plan,
                             chunk_idx,
-                            stream,
                             group,
                             co0,
                             ci,
@@ -1237,24 +1188,25 @@ pub(crate) fn gather_chunk_input(
     }
 }
 
-/// Stages the gathered weight streams of one `(chunk, ci, ky, channel
-/// group)` into the weight scratchpad, returning the words loaded (bulk
-/// loads are excluded from the reported counts by the callers). `ordinal`
-/// is the group's dispatch ordinal ([`dispatch_ordinal_base`]` + co0`),
-/// the coordinate of any scheduled weight corruption.
+/// Stages the weight streams of one `(chunk, ci, ky, channel group)` into the
+/// weight scratchpad, returning the words loaded (bulk loads are excluded
+/// from the reported counts by the callers). `ordinal` is the group's
+/// dispatch ordinal ([`dispatch_ordinal_base`]` + co0`), the coordinate of
+/// any scheduled weight corruption.
 ///
-/// The streams were gathered once at plan time ([`LayerPlan::weight_streams`])
-/// so the load is a single contiguous copy. Scheduled corruption applies to
-/// the PE-local buffer *after* the copy — the shared plan is never mutated —
-/// and weight fault sites carry no row coordinate, so every load of the same
-/// `(ky, ci, chunk, group)` corrupts identically, exactly as the per-load
-/// gather did.
+/// The plan keeps one compact kernel row per `(ky, ci, co)`
+/// ([`LayerPlan::kernel_rows`]); the load gathers each channel's `taps`
+/// values at the chunk's shared kernel offsets and writes `cols` copies, so
+/// the scratchpad holds exactly the `taps × cols` stream a per-column gather
+/// would produce. Scheduled corruption applies to the PE-local buffer
+/// *after* the expansion — the shared plan is never mutated — and weight
+/// fault sites carry no row coordinate, so every load of the same
+/// `(ky, ci, chunk, group)` corrupts identically.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn load_chunk_weights(
     pe: &mut ProcessingEngine,
     plan: &LayerPlan,
     chunk_idx: usize,
-    stream: usize,
     group: usize,
     co0: usize,
     ci: usize,
@@ -1262,13 +1214,52 @@ pub(crate) fn load_chunk_weights(
     faults: ShardFaults<'_>,
     ordinal: u64,
 ) -> u64 {
-    let base = plan.weight_stream_base[chunk_idx]
-        + ((ky * plan.input_channels + ci) * plan.output_channels + co0) * stream;
-    pe.load_weights_with(group * stream, |buf| {
-        buf.copy_from_slice(&plan.weight_streams[base..base + group * stream]);
+    let chunk = &plan.chunks[chunk_idx];
+    let kernel_w = plan.kernel_w;
+    let first = ((ky * plan.input_channels + ci) * plan.output_channels + co0) * kernel_w;
+    let rows = &plan.kernel_rows[first..first + group * kernel_w];
+    let words = group * chunk.taps * chunk.cols;
+    pe.load_weights_with(words, |buf| {
+        // One monomorphized expansion per common tap count: copying a
+        // register-held `[f32; T]` per column beats a loop of
+        // variable-length `copy_from_slice` calls.
+        match chunk.taps {
+            1 => expand_rows::<1>(rows, kernel_w, chunk, buf),
+            2 => expand_rows::<2>(rows, kernel_w, chunk, buf),
+            3 => expand_rows::<3>(rows, kernel_w, chunk, buf),
+            4 => expand_rows::<4>(rows, kernel_w, chunk, buf),
+            5 => expand_rows::<5>(rows, kernel_w, chunk, buf),
+            _ => expand_rows::<0>(rows, kernel_w, chunk, buf),
+        }
         faults.corrupt_weight_block(ordinal, buf);
     });
-    (group * stream) as u64
+    words as u64
+}
+
+/// Expands `kernel_w`-wide kernel rows into `taps × cols` weight streams, one
+/// per row: the taps at the chunk's kernel offsets, repeated per column. `T`
+/// is the tap count when known at compile time, or 0 for any tap count.
+fn expand_rows<const T: usize>(
+    rows: &[f32],
+    kernel_w: usize,
+    chunk: &ColumnChunk,
+    dst: &mut [f32],
+) {
+    let taps = if T == 0 { chunk.taps } else { T };
+    for (row, stream) in rows
+        .chunks_exact(kernel_w)
+        .zip(dst.chunks_exact_mut(taps * chunk.cols))
+    {
+        let tap = |j: usize| row[chunk.kernel_start + j * chunk.kernel_step];
+        if T == 0 {
+            let (first, rest) = stream.split_at_mut(taps);
+            first.iter_mut().enumerate().for_each(|(j, w)| *w = tap(j));
+            rest.chunks_exact_mut(taps)
+                .for_each(|column| column.copy_from_slice(first));
+        } else {
+            stream.as_chunks_mut::<T>().0.fill(std::array::from_fn(tap));
+        }
+    }
 }
 
 /// Dispatches one chunk × channel-group program against the input stream
@@ -1456,6 +1447,30 @@ impl Default for GanaxMachine {
     }
 }
 
+/// The weight the machine multiplies at kernel tap `(ky, kx)` of filter
+/// `(co, ci)`. The machine gathers over the zero-inserted domain, so for
+/// transposed convolutions the kernel is spatially flipped (the classical
+/// adjoint relationship — see `ganax_tensor::tconv_via_zero_insertion`).
+fn machine_weight(
+    params: &ConvParams,
+    weights: &Tensor,
+    co: usize,
+    ci: usize,
+    ky: usize,
+    kx: usize,
+) -> f32 {
+    match params.kind {
+        ConvKind::Transposed => weights.at_filter(
+            co,
+            ci,
+            0,
+            params.kernel.1 - 1 - ky,
+            params.kernel.2 - 1 - kx,
+        ),
+        ConvKind::Conventional => weights.at_filter(co, ci, 0, ky, kx),
+    }
+}
+
 /// The original input row a (output row, vertical kernel tap) pair reads, or
 /// `None` if the tap falls on padding / an inserted zero row.
 fn input_row_for(oy: usize, ky: usize, params: &ConvParams, input_height: usize) -> Option<usize> {
@@ -1480,49 +1495,27 @@ fn conv_input_row(oy: usize, ky: usize, params: &ConvParams, input_height: usize
 }
 
 /// The consequential column taps of one output column: which input columns and
-/// kernel columns participate, and with which kernel stride.
+/// kernel columns participate, and with which kernel stride. Both kinds read
+/// the padded (and, for transposed convolutions, zero-inserted) input row:
+/// conventional columns stride over it, while a transposed column meets an
+/// original element every `stride` kernel columns.
 fn column_run(ox: usize, params: &ConvParams, input_width: usize) -> Option<ColumnRun> {
-    match params.kind {
-        ConvKind::Transposed => {
-            let ins = ZeroInsertion::from_params(params);
-            let step = params.stride.2;
-            let mut first: Option<(usize, usize)> = None;
-            let mut taps = 0usize;
-            for kx in 0..params.kernel.2 {
-                if let Some(ix) = ins.source(2, ox + kx, input_width) {
-                    if first.is_none() {
-                        first = Some((ix, kx));
-                    }
-                    taps += 1;
-                }
-            }
-            first.map(|(input_start, kernel_start)| ColumnRun {
-                input_start,
-                kernel_start,
-                kernel_step: step,
-                taps,
-            })
-        }
-        ConvKind::Conventional => {
-            let mut first: Option<(usize, usize)> = None;
-            let mut taps = 0usize;
-            for kx in 0..params.kernel.2 {
-                let pos = (ox * params.stride.2 + kx) as isize - params.padding.2 as isize;
-                if pos >= 0 && (pos as usize) < input_width {
-                    if first.is_none() {
-                        first = Some((pos as usize, kx));
-                    }
-                    taps += 1;
-                }
-            }
-            first.map(|(input_start, kernel_start)| ColumnRun {
-                input_start,
-                kernel_start,
-                kernel_step: 1,
-                taps,
-            })
-        }
-    }
+    let (ox_stride, kernel_step) = match params.kind {
+        ConvKind::Transposed => (1, params.stride.2),
+        ConvKind::Conventional => (params.stride.2, 1),
+    };
+    let ins = ZeroInsertion::from_params(params);
+    let mut taps = (0..params.kernel.2).filter_map(|kx| {
+        ins.source(2, ox * ox_stride + kx, input_width)
+            .map(|ix| (ix, kx))
+    });
+    let (input_start, kernel_start) = taps.next()?;
+    Some(ColumnRun {
+        input_start,
+        kernel_start,
+        kernel_step,
+        taps: 1 + taps.count(),
+    })
 }
 
 #[cfg(test)]
@@ -1727,6 +1720,71 @@ mod tests {
         ));
     }
 
+    /// Every chunk of every zoo layer (generators and discriminators, 3D-GAN
+    /// at its 2-D cross-section) reads one set of kernel offsets, and
+    /// `load_chunk_weights` expands the compact kernel rows into exactly the
+    /// stream an explicit per-column gather from `column_runs` and the
+    /// original filter tensor produces.
+    #[test]
+    fn zoo_chunks_share_kernel_offsets_and_load_the_per_column_gather() {
+        let machine = GanaxMachine::paper();
+        let injector = FaultInjector::new(machine.config().fault);
+        let faults = ShardFaults {
+            injector: &injector,
+            layer_index: 0,
+        };
+        let mut layers = 0;
+        for gan in ganax_models::zoo::all_models() {
+            for network in [&gan.generator, &gan.discriminator] {
+                let network = network.reduced(8).unwrap();
+                for layer in network.layers() {
+                    let Some(params) = layer.op.conv_params() else {
+                        continue;
+                    };
+                    let (_, weights) = layer_tensors(layer, layers);
+                    let planned = machine.plan_layer(layer, &weights).unwrap();
+                    let plan = &planned.plan;
+                    let mut pe = ProcessingEngine::new(planned.pe_config);
+                    for (chunk_idx, chunk) in plan.chunks.iter().enumerate() {
+                        let runs: Vec<ColumnRun> = (0..chunk.cols)
+                            .map(|c| plan.column_runs[chunk.ox_start + c * chunk.col_step].unwrap())
+                            .collect();
+                        for run in &runs {
+                            let offsets = (chunk.taps, chunk.kernel_start, chunk.kernel_step);
+                            assert_eq!(run.kernel_offsets(), offsets, "{}", layer.name);
+                        }
+                        let stream = chunk.taps * chunk.cols;
+                        let group_max = chunk_group_max(&planned.pe_config, chunk, stream);
+                        for (ky, ci) in (0..plan.kernel_h)
+                            .flat_map(|ky| (0..layer.input.channels).map(move |ci| (ky, ci)))
+                        {
+                            for co0 in (0..layer.output.channels).step_by(group_max) {
+                                let group = group_max.min(layer.output.channels - co0);
+                                let mut expected = Vec::new();
+                                for co in co0..co0 + group {
+                                    for run in &runs {
+                                        expected.extend((0..run.taps).map(|j| {
+                                            let kx = run.kernel_start + j * run.kernel_step;
+                                            machine_weight(&params, &weights, co, ci, ky, kx)
+                                        }));
+                                    }
+                                }
+                                let words = load_chunk_weights(
+                                    &mut pe, plan, chunk_idx, group, co0, ci, ky, faults, 0,
+                                );
+                                assert_eq!(words as usize, expected.len(), "{}", layer.name);
+                                let loaded = &pe.weight_contents()[..expected.len()];
+                                assert_eq!(loaded, &expected[..], "{}", layer.name);
+                            }
+                        }
+                    }
+                    layers += 1;
+                }
+            }
+        }
+        assert!(layers >= 50, "only {layers} zoo layers checked");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1739,7 +1797,7 @@ mod tests {
             in_channels in 1usize..3,
             out_channels in 1usize..3,
             extent in 3usize..7,
-            kernel in 1usize..6,
+            kernel in 1usize..8,
             stride in 1usize..3,
             threads in 2usize..6,
             seed in 0u64..1_000,

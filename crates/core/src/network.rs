@@ -16,7 +16,7 @@
 //!   [`LayerExecution::host`];
 //! * **double-buffered operand staging** — while layer `N` retires on the
 //!   worker PEs, layer `N + 1`'s [`plan`](GanaxMachine) (tap analysis,
-//!   column chunking, gathered weight rows) is built on a spare thread, so
+//!   column chunking, compact kernel rows) is built on a spare thread, so
 //!   the planning prologue overlaps simulation instead of serializing with
 //!   it.
 //!
@@ -47,6 +47,7 @@
 //! assert!(run.total_busy_pe_cycles() > 0);
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ganax_energy::{EnergyBreakdown, EnergyModel, EventCounts};
@@ -58,9 +59,12 @@ use crate::machine::{GanaxMachine, MachineError, MachineRun, PlannedLayer};
 
 /// Per-layer weight tensors (and optional per-channel biases) for one
 /// [`Network`], validated against the network's layer shapes.
+///
+/// Clones are cheap: the weight tensors live in one shared allocation, so the
+/// copies the serving layer and compiled artifacts keep cost no weight memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkWeights {
-    weights: Vec<Tensor>,
+    weights: Arc<[Tensor]>,
     biases: Vec<Option<Vec<f32>>>,
     /// Output channels per layer, kept for bias validation.
     out_channels: Vec<usize>,
@@ -119,7 +123,7 @@ impl NetworkWeights {
         let biases = vec![None; layers.len()];
         let out_channels = layers.iter().map(|l| l.output.channels).collect();
         Ok(NetworkWeights {
-            weights,
+            weights: weights.into(),
             biases,
             out_channels,
         })
@@ -186,7 +190,7 @@ impl NetworkWeights {
         let fold = crate::config::fnv1a64;
         fold(&mut hash, network.name().as_bytes());
         fold(&mut hash, format!("{:?}", network.input_shape()).as_bytes());
-        for (layer, weight) in network.layers().iter().zip(&self.weights) {
+        for (layer, weight) in network.layers().iter().zip(self.weights.iter()) {
             fold(&mut hash, format!("{layer:?}").as_bytes());
             for &value in weight.data() {
                 fold(&mut hash, &value.to_bits().to_le_bytes());
@@ -876,5 +880,42 @@ mod tests {
         assert!(run.cycles_per_second() > 0.0);
         assert!(run.array_cycles(256) >= 1);
         assert!(run.array_cycles(256) <= run.total_busy_pe_cycles());
+    }
+
+    #[test]
+    fn weight_clones_share_storage_and_keep_value_semantics() {
+        let net = toy_network();
+        let weights = toy_weights(&net, 5);
+        let clone = weights.clone();
+        for i in 0..weights.len() {
+            assert_eq!(
+                weights.weight(i).data().as_ptr(),
+                clone.weight(i).data().as_ptr(),
+                "layer {i} tensor storage is shared"
+            );
+        }
+        // Equality is by value: an independently built bundle of the same
+        // tensors compares (and fingerprints) equal to the shared clone.
+        let rebuilt = toy_weights(&net, 5);
+        assert_ne!(
+            weights.weight(0).data().as_ptr(),
+            rebuilt.weight(0).data().as_ptr()
+        );
+        assert_eq!(weights, clone);
+        assert_eq!(weights, rebuilt);
+        assert_ne!(weights, toy_weights(&net, 6));
+        // Attaching a bias to a clone leaves the original untouched.
+        let biased = clone.with_bias(1, vec![0.5, -0.25, 1.0]).unwrap();
+        assert_eq!(weights.bias(1), None);
+        assert_eq!(biased.bias(1), Some(&[0.5, -0.25, 1.0][..]));
+        assert_ne!(weights, biased);
+        assert_eq!(
+            weights.weight(1).data().as_ptr(),
+            biased.weight(1).data().as_ptr()
+        );
+        // Fingerprints are pinned values: shared storage must not move them.
+        assert_eq!(weights.fingerprint(&net), 1_377_959_542_908_422_926);
+        assert_eq!(rebuilt.fingerprint(&net), weights.fingerprint(&net));
+        assert_eq!(biased.fingerprint(&net), 14_282_339_696_202_444_469);
     }
 }

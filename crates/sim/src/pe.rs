@@ -175,6 +175,11 @@ impl ProcessingEngine {
         self.output.contents()
     }
 
+    /// The full weight scratchpad contents.
+    pub fn weight_contents(&self) -> &[f32] {
+        self.weights.contents()
+    }
+
     /// Applies an access µop to the access µ-engine.
     pub fn apply_access(&mut self, uop: &AccessUop) {
         self.access.apply(uop);
