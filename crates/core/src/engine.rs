@@ -17,11 +17,14 @@
 //!   rows* across the pool and amortizes each weight-stream load across every
 //!   resident row of every batch element.
 //!
-//! All three paths are **bit-identical** to the per-layer fast path of
-//! [`GanaxMachine::execute_layer_threaded`] (and therefore to the seed
-//! single-step reference) at every thread count: the engine issues exactly
-//! the same per-dispatch programs, it only reorders *which* dispatch runs
-//! when and keeps more operands resident between dispatches.
+//! The engine is the one production hot path: the one-shot APIs
+//! ([`GanaxMachine::execute_layer_threaded`],
+//! [`GanaxMachine::execute_network`]) run on a fresh engine too. Every path
+//! is **bit-identical** at every thread count to the named oracles — the
+//! seed single-step reference [`GanaxMachine::execute_layer_reference`] and
+//! the `ganax_tensor` chain: the engine performs exactly the reference's
+//! per-column MACs, it only reorders *which* dispatch runs when and keeps
+//! more operands resident between dispatches.
 //!
 //! The pool is **supervised**: every worker body runs under
 //! [`std::panic::catch_unwind`], a panicking worker reports a typed
@@ -419,12 +422,13 @@ fn worker_loop(shared: Arc<PoolShared>) {
 /// batch element, and a whole block of gathered input streams stays resident
 /// in the input scratchpad across all channel groups
 /// (each dispatch selects its stream through the input generator's offset
-/// register). Per dispatch this issues exactly the per-layer fast path's
-/// program — same generators, same µop pairs, same burst — so busy cycles,
-/// counters and the f32 accumulation order per output element are
-/// bit-identical to [`GanaxMachine::execute_layer_threaded`]; only the number
-/// of bulk scratchpad loads shrinks, and those are excluded from the counts
-/// on both paths.
+/// register). Per work unit and column this performs exactly the seed
+/// reference's traffic (`taps` input + `taps` weight reads, two µop fetches,
+/// one write-back, `taps` busy cycles), so busy cycles, counters and the f32
+/// accumulation order per output element are bit-identical to
+/// [`GanaxMachine::execute_layer_reference`] at every pool size; only the
+/// scratchpad layout differs, and bulk loads are excluded from the counts
+/// as the reference excludes its own per-unit loads.
 fn run_resident_shard(
     task: &ShardTask,
     pe: &mut ProcessingEngine,
@@ -447,9 +451,9 @@ fn run_resident_shard(
         layer_index: task.layer_index,
     };
     // Worker-fault sites are keyed `(layer, row)` — decide them for every row
-    // the shard owns before any work, exactly as the per-layer path does. A
-    // panic here is genuine: it unwinds into the worker's `catch_unwind` so
-    // supervision, respawn and requeue are exercised for real.
+    // the shard owns before any work. A panic here is genuine: it unwinds
+    // into the worker's `catch_unwind` so supervision, respawn and requeue
+    // are exercised for real.
     for &oy in rows.iter() {
         match faults.worker_fault(oy) {
             Some(WorkerFault::Panic) => panic!(
@@ -466,8 +470,8 @@ fn run_resident_shard(
     let mut load_words = 0u64;
     let mut work_units = 0u64;
     // ABFT checksum triples, one per `(element, row slot)` accumulated row.
-    // The predicted/magnitude terms are folded in stream order (`ky → ci →
-    // chunk → element`), identical to the per-layer path's per-row order, so
+    // The predicted/magnitude terms are folded per row in stream order (`ky
+    // → ci → chunk → element`), independent of the shard's other rows, so
     // the triples — and therefore the verdicts — are bit-identical at every
     // pool size.
     let mut checks: Vec<RowChecksum> = if task.verify {
@@ -587,9 +591,8 @@ fn run_resident_shard(
     }
 
     if task.verify {
-        // Observed side: a linear f64 fold over each accumulated row slice.
-        // The buffer layout is `[channel][column]` per row, matching the
-        // per-layer path's channel-major observation order exactly.
+        // Observed side: a linear f64 fold over each accumulated row slice,
+        // channel-major (the buffer layout is `[channel][column]` per row).
         for (i, check) in checks.iter_mut().enumerate() {
             for &value in &buffer[i * row_stride..(i + 1) * row_stride] {
                 check.observed += f64::from(value);
@@ -1040,9 +1043,9 @@ impl InferenceEngine {
 
     /// Runs one PE-array layer for every element of `inputs` through the
     /// pool: rows are carved into wide phase-major slices over the plan's row
-    /// order via [`shard_for_position`] (exactly the per-layer fast path's
-    /// assignment, so per-shard busy splits match it), each shard task covers
-    /// all batch elements, and results reduce in task-index order.
+    /// order via [`shard_for_position`], each shard task covers all batch
+    /// elements, and results reduce in task-index order. The one-shot
+    /// [`GanaxMachine::execute_layer_threaded`] calls this at layer index 0.
     ///
     /// This is also the pool's **supervisor**: a worker that panics reports a
     /// typed [`MachineError::WorkerPanic`] and terminates, whereupon this
@@ -1052,7 +1055,7 @@ impl InferenceEngine {
     /// uninterrupted run. Only a deliberately shut-down pool is never
     /// restarted; then missing shards resolve as
     /// [`MachineError::PoolUnavailable`].
-    fn run_layer(
+    pub(crate) fn run_layer(
         &self,
         layer: &Arc<Layer>,
         plan: &Arc<PlannedLayer>,
@@ -1070,10 +1073,11 @@ impl InferenceEngine {
         let width = layer.output.width;
         let co_count = layer.output.channels;
         let shards = self.threads.clamp(1, height.max(1));
-        // Wide slices over the phase-major row order (see
-        // `GanaxMachine::execute_planned`): contiguous row-order blocks stripe
-        // across shards, so each shard walks long runs of adjacent phases
-        // while still receiving the same mix of shallow- and deep-phase rows.
+        // Wide slices over the phase-major row order: contiguous row-order
+        // blocks stripe across shards, so each shard walks long runs of
+        // adjacent phases while still receiving the same mix of shallow- and
+        // deep-phase rows (assigning by raw `oy` would hand one worker every
+        // deep-phase row whenever the shard count divides the phase stride).
         let mut position = vec![0usize; height];
         for (pos, &oy) in plan.plan.row_order.iter().enumerate() {
             position[oy] = pos;
@@ -1126,7 +1130,7 @@ impl InferenceEngine {
             self.shared.recycle(shard.buffer);
         }
         // Horizontal accumulation of each node's partial sums into the output
-        // row — charged once per layer, as `execute_planned` does.
+        // row (one hop per produced element) — charged once per layer.
         counts.inter_pe_transfers += work_units * width as u64;
         Ok(LayerRun {
             outputs,
@@ -1379,11 +1383,13 @@ fn check_finite(layer: &str, output: &Tensor) -> Result<(), MachineError> {
 }
 
 /// The pooled execution of one layer across a batch.
-struct LayerRun {
-    outputs: Vec<Tensor>,
-    busy_pe_cycles: u64,
-    counts: EventCounts,
-    work_units: u64,
+pub(crate) struct LayerRun {
+    /// Raw layer outputs (no bias or activation), one per batch element.
+    pub(crate) outputs: Vec<Tensor>,
+    pub(crate) busy_pe_cycles: u64,
+    pub(crate) counts: EventCounts,
+    pub(crate) work_units: u64,
+    /// Busy cycles per shard, in task order (for load-balance reporting).
     shard_busy: Vec<u64>,
 }
 
@@ -1434,27 +1440,51 @@ mod tests {
         assert_eq!(first.total_counts(), second.total_counts());
     }
 
+    /// Chains the named oracles by hand: [`host_projection`] for host layers,
+    /// [`GanaxMachine::execute_layer_reference`] for PE-array layers, and
+    /// [`finish_layer_output`] after each. Returns the final output plus the
+    /// summed busy cycles, counters and work units.
+    fn reference_chain(
+        machine: &GanaxMachine,
+        net: &Network,
+        input: &Tensor,
+        weights: &NetworkWeights,
+    ) -> (Tensor, u64, EventCounts, u64) {
+        let mut current = input.clone();
+        let (mut busy, mut counts, mut work_units) = (0, EventCounts::default(), 0);
+        for (i, layer) in net.layers().iter().enumerate() {
+            let mut out = if matches!(layer.op, LayerOp::Projection) {
+                host_projection(layer, &current, weights.weight(i)).unwrap()
+            } else {
+                let run = machine
+                    .execute_layer_reference(layer, &current, weights.weight(i))
+                    .unwrap();
+                busy += run.busy_pe_cycles;
+                counts += run.counts;
+                work_units += run.work_units;
+                run.output
+            };
+            finish_layer_output(layer, &mut out, weights.bias(i));
+            current = out;
+        }
+        (current, busy, counts, work_units)
+    }
+
     #[test]
     fn engine_matches_the_per_layer_fast_path() {
         let net = toy_network();
         let weights = toy_weights(&net, 19);
         let input = Tensor::deterministic(net.input_shape(), 23);
         let machine = GanaxMachine::paper();
-        let staged = machine
-            .execute_network_staged(&net, &input, &weights, 2)
-            .unwrap();
+        let (output, busy, counts, work_units) = reference_chain(&machine, &net, &input, &weights);
         for threads in [1, 2, 5] {
             let engine = InferenceEngine::new(machine, threads);
             let compiled = engine.compile(&net, &weights).unwrap();
             let run = engine.execute(&compiled, &input).unwrap();
-            assert_eq!(run.output, staged.output, "{threads}-thread engine output");
-            assert_eq!(
-                run.total_counts(),
-                staged.total_counts(),
-                "{threads}-thread engine counts"
-            );
-            assert_eq!(run.total_busy_pe_cycles(), staged.total_busy_pe_cycles());
-            assert_eq!(run.total_work_units(), staged.total_work_units());
+            assert_eq!(run.output, output, "{threads}-thread engine output");
+            assert_eq!(run.total_counts(), counts, "{threads}-thread engine counts");
+            assert_eq!(run.total_busy_pe_cycles(), busy);
+            assert_eq!(run.total_work_units(), work_units);
         }
     }
 
@@ -1537,24 +1567,24 @@ mod tests {
             FaultKind::INPUT_FLIP | FaultKind::WEIGHT_FLIP | FaultKind::STUCK_LANE,
         );
         let machine = faulty_machine(spec);
-        // The same seed corrupts the staged per-layer path identically.
-        let staged = machine
-            .execute_network_staged(&net, &input, &weights, 2)
+        // The same seed corrupts the one-shot path identically.
+        let one_shot = machine
+            .execute_network_threaded(&net, &input, &weights, 2)
             .unwrap();
-        assert_ne!(staged.output, clean, "the schedule must actually corrupt");
-        let staged_serial = machine
-            .execute_network_staged(&net, &input, &weights, 1)
+        assert_ne!(one_shot.output, clean, "the schedule must actually corrupt");
+        let one_shot_serial = machine
+            .execute_network_threaded(&net, &input, &weights, 1)
             .unwrap();
         assert_eq!(
-            staged_serial.output, staged.output,
-            "corruption is thread-count invariant on the staged path"
+            one_shot_serial.output, one_shot.output,
+            "corruption is thread-count invariant on the one-shot path"
         );
         for threads in [1, 2, 5] {
             let engine = InferenceEngine::new(machine, threads);
             let compiled = engine.compile(&net, &weights).unwrap();
             let run = engine.execute(&compiled, &input).unwrap();
             assert_eq!(
-                run.output, staged.output,
+                run.output, one_shot.output,
                 "{threads}-thread corrupted output"
             );
             assert!(engine.injected_faults() > 0, "faults must have fired");

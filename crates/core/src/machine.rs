@@ -23,16 +23,18 @@
 //!   each provably stall-free repeated-`mac` run in one call instead of one
 //!   cycle at a time;
 //! * **a multi-threaded PE-array scheduler**
-//!   ([`GanaxMachine::execute_layer_threaded`]) shards `(output channel,
-//!   output row)` work units across `std::thread`-scoped worker PEs. Every
-//!   work unit writes a disjoint output row and workers are assigned units by
-//!   a static round-robin over the plan's phase-major row order (the Figure 5
-//!   output-row reorganization), so the load balances across phases and
-//!   outputs and counters are bit-identical for every thread count.
+//!   ([`GanaxMachine::execute_layer_threaded`]) runs the layer once on a
+//!   one-shot [`InferenceEngine`](crate::InferenceEngine), the serving hot
+//!   path, which shards `(output channel, output row)` work units across its
+//!   pool's worker PEs. Every work unit writes a disjoint output row and
+//!   rows are dealt in wide slices striped over the plan's phase-major row
+//!   order (the Figure 5 output-row reorganization), so the load balances
+//!   across phases and outputs and counters are bit-identical for every
+//!   thread count.
 //!
 //! [`GanaxMachine::execute_layer_reference`] preserves the seed
-//! one-cycle-at-a-time serial path; property tests assert the fast paths match
-//! it bit for bit.
+//! one-cycle-at-a-time serial path as the named oracle; property tests assert
+//! the engine path matches it bit for bit.
 //!
 //! Scope: 2-D convolution and transposed-convolution layers (the volumetric
 //! 3D-GAN layers exercise the same per-axis machinery through the performance
@@ -40,6 +42,7 @@
 //! functional coverage).
 
 use std::fmt;
+use std::sync::Arc;
 
 use ganax_dataflow::{LayerGeometry, OutputRowGroups};
 use ganax_energy::EventCounts;
@@ -47,11 +50,11 @@ use ganax_isa::{AddrGenKind, ExecUop};
 use ganax_models::{Layer, LayerOp};
 use ganax_sim::{
     EmitFault, FaultInjector, GeneratorConfig, PeConfig, ProcessingEngine, WorkerFault,
-    STALL_MILLIS,
 };
 use ganax_tensor::{ConvKind, ConvParams, Shape, Tensor, ZeroInsertion};
 
 use crate::config::{ConfigError, GanaxConfig, IntegrityMode};
+use crate::engine::InferenceEngine;
 
 /// Errors produced by the cycle-level machine.
 #[derive(Debug, Clone, PartialEq)]
@@ -429,8 +432,7 @@ impl LayerPlan {
 /// `f64` in a fixed order that depends only on the layer plan — `ky`
 /// ascending, then `ci`, then chunk, then stream element for the predictions;
 /// channel-major row order for the observation — so the triple (and hence
-/// the verdict) is bit-identical on the scoped per-layer path, the engine's
-/// persistent pool, and every pool size.
+/// the verdict) is bit-identical at every pool size and batch composition.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct RowChecksum {
     /// `checksum(W) · checksum(x)`: the f64 dot of every *clean* gathered
@@ -467,7 +469,7 @@ const INTEGRITY_SAFETY: f64 = 2.0;
 /// compared against: proportional to the square root of the f32 accumulation
 /// chain feeding the row's outputs and to the accumulated product magnitude.
 /// A pure function of the plan and the (bit-identical) magnitude checksum,
-/// so every execution path reaches the same verdict.
+/// so every pool size reaches the same verdict.
 pub(crate) fn row_tolerance(plan: &LayerPlan, oy: usize, magnitude: f64) -> f64 {
     let max_taps = plan.chunks.iter().map(|c| c.taps).max().unwrap_or(0);
     let chain = plan.row_taps[oy].len() * plan.input_channels * max_taps + plan.output_channels;
@@ -512,8 +514,8 @@ pub(crate) fn accumulate_input_checksum(
 }
 
 /// A validated layer together with its hoisted execution plan and the PE
-/// sizing the plan was built for — the staged operand state the network
-/// executor double-buffers across layers.
+/// sizing the plan was built for — what a compiled network caches per
+/// PE-array layer.
 pub(crate) struct PlannedLayer {
     /// The PE sizing that bounds the plan's chunks and streams.
     pub(crate) pe_config: PeConfig,
@@ -524,8 +526,8 @@ pub(crate) struct PlannedLayer {
 /// The fault coordinates one shard executes under: the injector realizing
 /// the machine config's schedule plus the network-level layer index. `Copy`
 /// (it carries a shared reference) so it moves freely into worker closures.
-/// Shared by the per-layer shard runner and the engine's resident-PE worker,
-/// which must agree on fault sites exactly as they agree on dispatch shapes.
+/// Every fault site is a function of the layer plan and the row alone, so a
+/// schedule corrupts identically at every pool size.
 #[derive(Clone, Copy)]
 pub(crate) struct ShardFaults<'a> {
     /// The injector deciding every fault site.
@@ -565,10 +567,10 @@ impl ShardFaults<'_> {
     }
 
     /// Decides whether the worker processing output row `row` is disturbed.
-    /// On the scoped per-layer path panics surface as typed
-    /// [`MachineError::WorkerPanic`] returns; the engine's persistent workers
-    /// convert the same decision into a real panic so supervision is
-    /// exercised.
+    /// The engine's pool workers turn a panic decision into a real panic, so
+    /// supervision is exercised: the shard is requeued on a respawned worker,
+    /// and a `persistent` panic that exhausts the attempt cap surfaces as
+    /// [`MachineError::WorkerPanic`].
     pub(crate) fn worker_fault(&self, row: usize) -> Option<WorkerFault> {
         self.injector.worker_fault(self.layer_index, row)
     }
@@ -581,9 +583,8 @@ impl ShardFaults<'_> {
     }
 }
 
-/// The shard owning the output row at phase-major position `pos`, shared by
-/// the per-layer scoped path and the engine's persistent pool so their
-/// per-shard busy splits agree.
+/// The shard owning the output row at phase-major position `pos` in the
+/// engine's persistent pool.
 ///
 /// Rows are dealt in contiguous phase-major *blocks* of roughly
 /// `height / (4 × shards)` rows, striped round-robin over the shards: each
@@ -602,8 +603,8 @@ pub(crate) fn shard_for_position(pos: usize, height: usize, shards: usize) -> us
 }
 
 /// The base dispatch ordinal of one `(ky, ci, chunk)` work unit — a pure
-/// function of the layer plan, identical on every execution path and at
-/// every thread count (the property fault determinism rests on). Channel
+/// function of the layer plan, identical at every thread count and batch
+/// composition (the property fault determinism rests on). Channel
 /// groups within the chunk add their starting channel `co0`.
 pub(crate) fn dispatch_ordinal_base(
     plan: &LayerPlan,
@@ -684,15 +685,21 @@ impl GanaxMachine {
         self.execute_layer_threaded(layer, input, weights, threads)
     }
 
-    /// Executes one layer on `threads` `std::thread`-scoped worker PEs.
+    /// Executes one layer on a one-shot [`InferenceEngine`] with `threads`
+    /// pool workers (at most one per output row): the layer is planned, run
+    /// once through the engine's hot path as network layer 0, and the pool is
+    /// shut down.
     ///
-    /// Work units are sharded by whole output rows: worker `w` owns every row
-    /// at a position congruent to `w` modulo `threads` in the plan's
-    /// phase-major row order (all output channels of that row). Each work
-    /// unit writes a disjoint output row and the per-worker `u64` counters
-    /// are order-independent sums, so the output feature map, cycle counts
-    /// and [`EventCounts`] are bit-identical for every `threads` value
-    /// (including 1, the serial fast path).
+    /// Work units are sharded by whole output rows (all output channels of
+    /// a row) in wide slices striped over the plan's phase-major row order.
+    /// Each work unit writes a disjoint output row and the per-worker `u64`
+    /// counters are order-independent sums, so the output feature map, cycle
+    /// counts and [`EventCounts`] are bit-identical for every `threads`
+    /// value.
+    ///
+    /// Fault injection and integrity checking follow the engine: an injected
+    /// one-shot worker panic is recovered by respawn and requeue, and a
+    /// persistent one surfaces as [`MachineError::WorkerPanic`].
     ///
     /// # Errors
     /// As [`GanaxMachine::execute_layer`].
@@ -703,18 +710,31 @@ impl GanaxMachine {
         weights: &Tensor,
         threads: usize,
     ) -> Result<MachineRun, MachineError> {
-        let planned = self.plan_layer(layer, weights)?;
-        let (run, _shard_busy) = self.execute_planned(layer, input, &planned, threads, 0)?;
-        Ok(run)
+        let planned = Arc::new(self.plan_layer(layer, weights)?);
+        let threads = threads.clamp(1, layer.output.height.max(1));
+        let engine = InferenceEngine::new(*self, threads);
+        let inputs = Arc::new(vec![Arc::new(input.clone())]);
+        let run = engine.run_layer(&Arc::new(layer.clone()), &planned, 0, inputs)?;
+        let output = run
+            .outputs
+            .into_iter()
+            .next()
+            .expect("a one-element layer run yields one output");
+        Ok(MachineRun {
+            output,
+            busy_pe_cycles: run.busy_pe_cycles,
+            counts: run.counts,
+            work_units: run.work_units,
+        })
     }
 
     /// Validates a layer and builds everything the hot path needs to execute
     /// it: the hoisted [`LayerPlan`] and the PE sizing the plan was built for.
     ///
     /// Planning is the expensive per-layer prologue (tap analysis, chunking,
-    /// kernel-row flipping, checksum tables); separating it from execution lets
-    /// [`crate::network::NetworkExecution`] stage layer `N + 1`'s plan on a
-    /// spare thread while layer `N` is still retiring.
+    /// kernel-row flipping, checksum tables); a
+    /// [`CompiledNetwork`](crate::CompiledNetwork) pays it once per layer and
+    /// reuses the plan for every request.
     pub(crate) fn plan_layer(
         &self,
         layer: &Layer,
@@ -733,174 +753,9 @@ impl GanaxMachine {
         Ok(PlannedLayer { pe_config, plan })
     }
 
-    /// Executes one layer from a prebuilt [`PlannedLayer`], returning the run
-    /// and the per-worker busy-cycle split (for load-balance reporting).
-    ///
-    /// `layer_index` is the network-level layer index used as the fault
-    /// coordinate when the config arms a [`FaultSpec`](ganax_sim::FaultSpec)
-    /// (0 for the one-shot layer APIs). Each call builds a fresh
-    /// [`FaultInjector`], so the same seed reproduces the same corruption on
-    /// every call and at every thread count.
-    pub(crate) fn execute_planned(
-        &self,
-        layer: &Layer,
-        input: &Tensor,
-        planned: &PlannedLayer,
-        threads: usize,
-        layer_index: usize,
-    ) -> Result<(MachineRun, Vec<u64>), MachineError> {
-        check_input(layer, input)?;
-        let pe_config = &planned.pe_config;
-        let plan = &planned.plan;
-        let mut output = Tensor::zeros(layer.output);
-        let width = layer.output.width;
-        let height = layer.output.height;
-        let threads = threads.clamp(1, height.max(1));
-
-        let mut busy = 0u64;
-        let mut counts = EventCounts::default();
-        let mut work_units = 0u64;
-        let mut shard_busy = Vec::with_capacity(threads);
-        let verify = self.config.integrity.verifies();
-        let mut checks: Vec<(usize, RowChecksum)> = Vec::new();
-        let injector = FaultInjector::new(self.config.fault);
-        injector.begin_epoch();
-        let faults = ShardFaults {
-            injector: &injector,
-            layer_index,
-        };
-        {
-            // Output rows in `(co, oy)` order are the contiguous `width`-sized
-            // chunks of the output buffer; group them per output row `oy`
-            // (every channel), because a shard processes whole `oy` slices —
-            // that lets one input-stream load serve every output channel.
-            let mut rows_by_oy: Vec<(usize, Vec<&mut [f32]>)> =
-                (0..height).map(|oy| (oy, Vec::new())).collect();
-            for (idx, row) in output.data_mut().chunks_mut(width).enumerate() {
-                rows_by_oy[idx % height].1.push(row);
-            }
-            type ShardResult =
-                Result<(u64, EventCounts, u64, Vec<(usize, RowChecksum)>), MachineError>;
-            let shard_results: Vec<ShardResult> = if threads == 1 {
-                vec![run_shard(
-                    layer, input, plan, pe_config, rows_by_oy, faults, verify,
-                )]
-            } else {
-                // Wide phase-major slices over the plan's row order: rows of
-                // one phase share a tap count, and block striping (see
-                // `shard_for_position`) keeps every worker's mix of shallow-
-                // and deep-phase rows balanced while handing off work in
-                // contiguous runs (assigning by raw `oy` would hand one
-                // worker every deep-phase row whenever `threads` divides the
-                // phase stride).
-                let mut position = vec![0usize; height];
-                for (pos, &oy) in plan.row_order.iter().enumerate() {
-                    position[oy] = pos;
-                }
-                let mut shards: Vec<Vec<(usize, Vec<&mut [f32]>)>> =
-                    (0..threads).map(|_| Vec::new()).collect();
-                for (oy, rows) in rows_by_oy {
-                    shards[shard_for_position(position[oy], height, threads)].push((oy, rows));
-                }
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = shards
-                        .into_iter()
-                        .map(|shard| {
-                            scope.spawn(move || {
-                                run_shard(layer, input, plan, pe_config, shard, faults, verify)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| {
-                            handle.join().unwrap_or_else(|_| {
-                                Err(MachineError::WorkerPanic {
-                                    layer: layer.name.clone(),
-                                })
-                            })
-                        })
-                        .collect()
-                })
-            };
-            // Deterministic reduction: worker-index order. The totals are
-            // `u64` sums over disjoint work units, so they are identical for
-            // every thread count and shard assignment.
-            for result in shard_results {
-                let (busy_one, shard_counts, shard_units, shard_checks) = result?;
-                busy += busy_one;
-                counts += shard_counts;
-                work_units += shard_units;
-                shard_busy.push(busy_one);
-                checks.extend(shard_checks);
-            }
-        }
-
-        // ABFT verification at retire time, with surgical healing: flagged
-        // rows re-execute in a fresh fault epoch (serially — they are the
-        // exception path) and only their slices are recomputed, so unflagged
-        // rows, the activity counters and the busy split keep their original
-        // (bit-identical at every thread count) values. Repair work is
-        // excluded from the counters entirely: corruption never changes what
-        // the clean computation would have counted.
-        if verify {
-            let mut rounds = 0u32;
-            loop {
-                let mut flagged: Vec<usize> = checks
-                    .iter()
-                    .filter(|(oy, check)| !row_checksum_ok(plan, *oy, check))
-                    .map(|(oy, _)| *oy)
-                    .collect();
-                if flagged.is_empty() {
-                    break;
-                }
-                flagged.sort_unstable();
-                flagged.dedup();
-                if !self.config.integrity.heals() || rounds >= MAX_HEAL_ROUNDS {
-                    return Err(MachineError::IntegrityViolation {
-                        layer: layer.name.clone(),
-                        rows: flagged,
-                    });
-                }
-                rounds += 1;
-                injector.begin_epoch();
-                let mut heal_rows: Vec<(usize, Vec<&mut [f32]>)> =
-                    flagged.iter().map(|&oy| (oy, Vec::new())).collect();
-                for (idx, row) in output.data_mut().chunks_mut(width).enumerate() {
-                    let oy = idx % height;
-                    if let Ok(slot) = flagged.binary_search(&oy) {
-                        row.fill(0.0);
-                        heal_rows[slot].1.push(row);
-                    }
-                }
-                let (_, _, _, healed) =
-                    run_shard(layer, input, plan, pe_config, heal_rows, faults, true)?;
-                for (oy, check) in &mut checks {
-                    if let Some(new) = healed.iter().find(|(h, _)| h == oy) {
-                        *check = new.1;
-                    }
-                }
-            }
-        }
-
-        // Horizontal accumulation of each node's partial sums into the output
-        // row (one hop per produced element).
-        counts.inter_pe_transfers += work_units * width as u64;
-
-        Ok((
-            MachineRun {
-                output,
-                busy_pe_cycles: busy,
-                counts,
-                work_units,
-            },
-            shard_busy,
-        ))
-    }
-
     /// Executes one layer on the seed one-cycle-at-a-time serial path: one PE,
     /// [`ProcessingEngine::run_until_idle`] (no bursts), and per-work-unit
-    /// row/weight gathering. Kept as the measured baseline the fast paths are
+    /// row/weight gathering. Kept as the named oracle the engine path is
     /// property-tested against — and benchmarked against in
     /// `BENCH_machine.json`.
     ///
@@ -1025,143 +880,9 @@ fn check_input(layer: &Layer, input: &Tensor) -> Result<(), MachineError> {
     Ok(())
 }
 
-/// Runs every work unit of one shard of whole output rows (`oy` slices, all
-/// channels) on a fresh worker PE, accumulating partial sums into the
-/// shard's (disjoint) output-row slices.
-///
-/// The hot path exploits the work-unit structure twice over:
-///
-/// * columns dispatch chunk-wise — a chunk's operand values are gathered
-///   into contiguous streams walked by linear index generators while one
-///   `repeat`+`mac` µop pair per column drains them, which the PE retires as
-///   a single provably stall-free burst;
-/// * output channels batch — a gathered input stream depends only on
-///   `(oy, ky, ci)`, so it is loaded once and *replayed* by the input
-///   generator's repeat register across a whole group of output channels,
-///   whose weight streams concatenate in the weight scratchpad and whose
-///   partial sums land in disjoint output words.
-///
-/// Per work unit and column this performs exactly the reference path's
-/// traffic (`taps` input + `taps` weight reads, two µop fetches, one
-/// write-back, `taps` busy cycles), so counter totals and the f32
-/// accumulation order per output element are bit-identical; only the
-/// scratchpad layout differs. Bulk loads are excluded from the returned
-/// counts, as the reference path excludes its own per-unit loads. The output
-/// scratchpad is not cleared between dispatches: every program overwrites
-/// its output word before it is read back.
-fn run_shard(
-    layer: &Layer,
-    input: &Tensor,
-    plan: &LayerPlan,
-    pe_config: &PeConfig,
-    shard: Vec<(usize, Vec<&mut [f32]>)>,
-    faults: ShardFaults<'_>,
-    verify: bool,
-) -> Result<(u64, EventCounts, u64, Vec<(usize, RowChecksum)>), MachineError> {
-    let mut pe = ProcessingEngine::new(*pe_config);
-    let mut load_words = 0u64;
-    let mut work_units = 0u64;
-    let mut checks: Vec<(usize, RowChecksum)> = Vec::new();
-
-    for (oy, mut co_rows) in shard {
-        // On this scoped path an injected worker disturbance surfaces as a
-        // typed error (the caller has no supervision to recover a panic);
-        // the engine's persistent workers turn the same decision into a real
-        // panic that its supervision catches.
-        match faults.worker_fault(oy) {
-            Some(WorkerFault::Panic) => {
-                return Err(MachineError::WorkerPanic {
-                    layer: layer.name.clone(),
-                })
-            }
-            Some(WorkerFault::Stall) => {
-                std::thread::sleep(std::time::Duration::from_millis(STALL_MILLIS))
-            }
-            None => {}
-        }
-        let mut check = RowChecksum::default();
-        for &(ky, iy) in &plan.row_taps[oy] {
-            for ci in 0..layer.input.channels {
-                work_units += co_rows.len() as u64;
-                let input_row = input.row_2d(ci, iy);
-                for (chunk_idx, chunk) in plan.chunks.iter().enumerate() {
-                    let base = dispatch_ordinal_base(plan, layer, ky, ci, chunk_idx);
-                    let stream = chunk.taps * chunk.cols;
-                    pe.load_input_with(stream, |buf| {
-                        gather_chunk_input(plan, chunk, input_row, buf);
-                        if verify {
-                            // Checksum the stream *before* corruption: the
-                            // prediction must track the clean computation.
-                            accumulate_input_checksum(plan, chunk_idx, ky, ci, buf, &mut check);
-                        }
-                        faults.corrupt_input_stream(oy, base, buf);
-                    });
-                    load_words += stream as u64;
-
-                    let group_max = chunk_group_max(pe_config, chunk, stream);
-                    let mut co0 = 0;
-                    while co0 < co_rows.len() {
-                        let group = group_max.min(co_rows.len() - co0);
-                        load_words += load_chunk_weights(
-                            &mut pe,
-                            plan,
-                            chunk_idx,
-                            group,
-                            co0,
-                            ci,
-                            ky,
-                            faults,
-                            base + co0 as u64,
-                        );
-                        retire_chunk_group(&mut pe, chunk, stream, group, 0, layer, |k, slots| {
-                            let row = &mut co_rows[co0 + k];
-                            let mut ox = chunk.ox_start;
-                            match faults.emit_fault(oy, base + co0 as u64, co0 + k) {
-                                Some(EmitFault::StuckLane | EmitFault::DroppedUop) => {}
-                                Some(EmitFault::DuplicatedUop) => {
-                                    for &value in slots {
-                                        row[ox] += value;
-                                        row[ox] += value;
-                                        ox += chunk.col_step;
-                                    }
-                                }
-                                None => {
-                                    for &value in slots {
-                                        row[ox] += value;
-                                        ox += chunk.col_step;
-                                    }
-                                }
-                            }
-                        })?;
-                        co0 += group;
-                    }
-                }
-            }
-        }
-        if verify {
-            // The observed checksum walks the finished row channel-major
-            // (`co` ascending, columns ascending) — the same linear order
-            // the engine's resident buffer layout yields.
-            for row in &co_rows {
-                for &value in row.iter() {
-                    check.observed += f64::from(value);
-                }
-            }
-            checks.push((oy, check));
-        }
-    }
-
-    let mut counts = pe.counts();
-    counts.register_file_writes -= load_words;
-    Ok((pe.busy_cycles(), counts, work_units, checks))
-}
-
 /// The largest output-channel group one dispatch of `chunk` can carry: its
 /// µop pairs must fit the µop FIFO, its concatenated weight streams the
-/// weight scratchpad, and its output words the output scratchpad. Shared by
-/// the per-layer shard runner and the engine's resident-PE worker so the two
-/// paths can never disagree on dispatch shapes (their results are
-/// contractually bit-identical).
+/// weight scratchpad, and its output words the output scratchpad.
 pub(crate) fn chunk_group_max(pe_config: &PeConfig, chunk: &ColumnChunk, stream: usize) -> usize {
     (pe_config.uop_fifo_entries / 2 / chunk.cols)
         .min(pe_config.weight_words / stream)
@@ -1267,10 +988,7 @@ fn expand_rows<const T: usize>(
 /// channel's produced partial sums to `emit(k, slots)` (`k` indexes the
 /// channel within the group; `slots[c]` belongs to output column
 /// `ox_start + c * col_step`). The slice form lets callers scatter with a
-/// tight per-row loop instead of a bounds-checked store per element. This is
-/// the single definition of the hot dispatch body shared by `run_shard` and
-/// the engine's resident-PE worker — the bit-identity guarantee between
-/// those paths rests on them issuing exactly this program.
+/// tight per-row loop instead of a bounds-checked store per element.
 ///
 /// # Errors
 /// [`MachineError::Timeout`] when the PE fails to drain within the chunk's
@@ -1308,9 +1026,8 @@ pub(crate) fn retire_chunk_group(
 ///
 /// `input_base` selects which resident input stream the dispatch reads: the
 /// input generator walks `[input_base, input_base + stream)` through its
-/// constant-offset register. The per-layer paths keep a single stream resident
-/// (`input_base == 0`); the inference engine stages a whole block of rows'
-/// streams and addresses one per dispatch.
+/// constant-offset register. The inference engine stages a whole block of
+/// rows' streams and addresses one per dispatch.
 fn dispatch_group(
     pe: &mut ProcessingEngine,
     chunk: &ColumnChunk,
@@ -1718,6 +1435,46 @@ mod tests {
             machine.execute_layer(&layer, &input, &bad_weights),
             Err(MachineError::ShapeMismatch { .. })
         ));
+    }
+
+    /// An injected worker panic runs through the one-shot engine's pool
+    /// supervision at every thread count: a one-shot panic is requeued on a
+    /// respawned worker and recovers bit-identically, while a persistent one
+    /// exhausts the attempt cap and surfaces as a typed `WorkerPanic`.
+    #[test]
+    fn worker_panics_recover_or_surface_typed_on_the_per_layer_api() {
+        let layer = Layer::conv(
+            "tconv-panic",
+            Shape::new_2d(3, 5, 5),
+            2,
+            ConvParams::transposed_2d(4, 2, 1),
+            Activation::None,
+        )
+        .unwrap();
+        let (input, weights) = layer_tensors(&layer, 29);
+        let clean = GanaxMachine::paper()
+            .execute_layer_threaded(&layer, &input, &weights, 1)
+            .unwrap();
+        let panicking = |persistent| {
+            let spec = ganax_sim::FaultSpec {
+                layer: 0,
+                row: 2,
+                persistent,
+                ..ganax_sim::FaultSpec::seeded(11, 1_000_000, ganax_sim::FaultKind::WORKER_PANIC)
+            };
+            GanaxMachine::new(GanaxConfig::paper().with_fault(spec).unwrap())
+        };
+        for threads in [1, 2] {
+            let recovered = panicking(false)
+                .execute_layer_threaded(&layer, &input, &weights, threads)
+                .unwrap();
+            assert_eq!(recovered, clean, "{threads}-thread recovered run");
+            let hard = panicking(true).execute_layer_threaded(&layer, &input, &weights, threads);
+            assert!(
+                matches!(hard, Err(MachineError::WorkerPanic { ref layer }) if layer == "tconv-panic"),
+                "{threads}-thread persistent panic: {hard:?}"
+            );
+        }
     }
 
     /// Every chunk of every zoo layer (generators and discriminators, 3D-GAN

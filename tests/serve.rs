@@ -11,18 +11,20 @@
 //!    execution at every pool size — per-element outputs bit for bit, and
 //!    the aggregated busy cycles / [`EventCounts`] / energy equal to the sum
 //!    of the sequential runs;
-//! 3. the engine equals the pre-refactor staged baseline
-//!    ([`GanaxMachine::execute_network_staged`]) on reduced Table I
+//! 3. the engine equals a hand chain of the named oracles
+//!    ([`GanaxMachine::execute_layer_reference`] per PE-array layer,
+//!    [`host_projection`] and [`finish_layer_output`]) on reduced Table I
 //!    generators, so the serving path inherits the conformance suite's
 //!    guarantees.
 //!
 //! Engine runs are also asserted to perform **zero planning**
 //! ([`NetworkExecution::plan_seconds`]) — the compile-once contract.
 
+use ganax::network::{finish_layer_output, host_projection};
 use ganax::{GanaxMachine, InferenceEngine, NetworkWeights};
 use ganax_bench::{conformance_input, conformance_weights, deterministic_tensor};
 use ganax_energy::{EnergyModel, EventCounts};
-use ganax_models::{zoo, Activation, Network, NetworkBuilder};
+use ganax_models::{zoo, Activation, LayerOp, Network, NetworkBuilder};
 use ganax_tensor::{ConvParams, Shape, Tensor};
 use proptest::prelude::*;
 
@@ -132,43 +134,51 @@ proptest! {
     }
 }
 
-/// The engine reproduces the pre-refactor staged baseline bit for bit on
-/// reduced Table I generators (small-integer operands keep every f32
+/// The engine reproduces a hand chain of the single-step reference bit for
+/// bit on reduced Table I generators (small-integer operands keep every f32
 /// accumulation order exact — see `tests/network_conformance.rs`).
 #[test]
-fn engine_matches_staged_baseline_on_reduced_zoo() {
+fn engine_matches_reference_chain_on_reduced_zoo() {
     for (m, name) in ["DCGAN", "ArtGAN", "MAGAN"].iter().enumerate() {
         let network = zoo::reduced_generator(name, 4).expect("model is in the zoo");
         let weights = conformance_weights(&network, 300 + m as u64);
         let input = conformance_input(&network, 700 + m as u64);
         let machine = GanaxMachine::paper();
-        let staged = machine
-            .execute_network_staged(&network, &input, &weights, 2)
-            .expect("staged baseline executes");
-        assert!(staged.plan_seconds > 0.0, "{name}: staged path must plan");
+        let mut output = input.clone();
+        let (mut busy, mut counts) = (0u64, EventCounts::default());
+        for (i, layer) in network.layers().iter().enumerate() {
+            let mut out = if matches!(layer.op, LayerOp::Projection) {
+                host_projection(layer, &output, weights.weight(i)).expect("projection executes")
+            } else {
+                let run = machine
+                    .execute_layer_reference(layer, &output, weights.weight(i))
+                    .expect("reference layer executes");
+                busy += run.busy_pe_cycles;
+                counts += run.counts;
+                run.output
+            };
+            finish_layer_output(layer, &mut out, weights.bias(i));
+            output = out;
+        }
         for threads in [1, 3] {
             let engine = InferenceEngine::new(machine, threads);
             let compiled = engine.compile(&network, &weights).expect("compiles");
             let run = engine.execute(&compiled, &input).expect("executes");
-            assert_eq!(run.output, staged.output, "{name} output @ {threads}t");
-            assert_eq!(run.total_counts(), staged.total_counts(), "{name} counts");
-            assert_eq!(
-                run.total_busy_pe_cycles(),
-                staged.total_busy_pe_cycles(),
-                "{name} busy cycles"
-            );
+            assert_eq!(run.output, output, "{name} output @ {threads}t");
+            assert_eq!(run.total_counts(), counts, "{name} counts");
+            assert_eq!(run.total_busy_pe_cycles(), busy, "{name} busy cycles");
             assert_eq!(run.plan_seconds, 0.0, "{name}: warm run planned");
 
             let batch = engine
                 .execute_batch(&compiled, std::slice::from_ref(&input))
                 .expect("one-element batch executes");
-            assert_eq!(batch.outputs[0], staged.output, "{name} batch output");
+            assert_eq!(batch.outputs[0], output, "{name} batch output");
         }
     }
 }
 
-/// One-shot `execute_network` (now engine-backed) reports its compile cost
-/// in `plan_seconds`, and per-layer reports stay shaped like the baseline's.
+/// One-shot `execute_network` (engine-backed) reports its compile cost in
+/// `plan_seconds`, and its per-layer reports are well-formed.
 #[test]
 fn one_shot_path_reports_plan_cost() {
     let network = zoo::reduced_generator("DCGAN", 4).expect("DCGAN is in the zoo");
