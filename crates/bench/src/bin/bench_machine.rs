@@ -17,7 +17,9 @@
 //! results are asserted bit-identical to the reference before any timing is
 //! reported.
 
-use ganax_bench::{cli_out_path, cli_thread_counts, machine_bench, MachineBenchRow};
+use ganax_bench::{
+    cli_out_path, cli_thread_counts, machine_bench, HostFingerprint, MachineBenchRow,
+};
 use serde::Serialize;
 
 /// The emitted `BENCH_machine.json` document.
@@ -25,6 +27,8 @@ use serde::Serialize;
 struct BenchReport {
     /// Benchmark family name.
     bench: String,
+    /// The host the report was recorded on.
+    host: HostFingerprint,
     /// Whether the quick (CI smoke) geometry set was used.
     quick: bool,
     /// Worker-thread counts the threaded scheduler was swept over.
@@ -67,6 +71,7 @@ fn main() {
 
     let report = BenchReport {
         bench: "machine".to_string(),
+        host: HostFingerprint::collect(),
         quick,
         thread_counts,
         rows,

@@ -243,6 +243,48 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
+/// The host a bench report was recorded on. Timings from different hosts
+/// are not comparable, so every `BENCH_*.json` writer stamps one.
+#[derive(Debug, Clone, Serialize)]
+pub struct HostFingerprint {
+    /// The first `model name` of `/proc/cpuinfo` (`unknown` elsewhere).
+    pub cpu_model: String,
+    /// The host's available parallelism.
+    pub nproc: usize,
+    /// `rustc --version` of the toolchain on `PATH` (`unknown` without one).
+    pub rustc: String,
+}
+
+impl HostFingerprint {
+    /// Reads the fingerprint of the running host.
+    pub fn collect() -> Self {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, v)| v.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        let rustc = std::process::Command::new("rustc")
+            .arg("--version")
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| {
+                let text = String::from_utf8_lossy(&out.stdout);
+                text.lines().next().map(|l| l.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        HostFingerprint {
+            cpu_model,
+            nproc: available_parallelism(),
+            rustc,
+        }
+    }
+}
+
 /// One point of a thread-count sweep: wall-clock of the same workload at one
 /// worker count (results are bit-identical across the sweep; only time moves).
 #[derive(Debug, Clone, Serialize)]
@@ -563,6 +605,8 @@ pub struct NetworkBenchRow {
 pub struct NetworkBenchReport {
     /// Benchmark family name.
     pub bench: String,
+    /// The host the report was recorded on.
+    pub host: HostFingerprint,
     /// Network executed.
     pub network: String,
     /// Whether the quick (reduced-geometry) variant was used.
@@ -655,6 +699,7 @@ pub fn network_bench(quick: bool, thread_counts: &[usize]) -> NetworkBenchReport
         .collect();
     NetworkBenchReport {
         bench: "network".to_string(),
+        host: HostFingerprint::collect(),
         network: execution.network.clone(),
         quick,
         threads: execution.threads,
@@ -784,6 +829,8 @@ pub struct FaultToleranceRow {
 pub struct ServeBenchReport {
     /// Benchmark family name.
     pub bench: String,
+    /// The host the report was recorded on.
+    pub host: HostFingerprint,
     /// Whether the quick (channel-capped) variant was used.
     pub quick: bool,
     /// Network served.
@@ -1062,6 +1109,7 @@ pub fn serve_bench(
 
     ServeBenchReport {
         bench: "serve".to_string(),
+        host: HostFingerprint::collect(),
         quick,
         network: network.name().to_string(),
         threads,

@@ -80,8 +80,8 @@ use ganax_tensor::Tensor;
 use crate::config::IntegrityMode;
 use crate::machine::{
     accumulate_input_checksum, chunk_group_max, dispatch_ordinal_base, gather_chunk_input,
-    load_chunk_weights, retire_chunk_group, row_checksum_ok, shard_for_position, GanaxMachine,
-    MachineError, PlannedLayer, RowChecksum, ShardFaults, MAX_HEAL_ROUNDS,
+    load_chunk_weights, retire_chunk_group, row_checksum_ok, shard_for_position, ColumnChunk,
+    GanaxMachine, MachineError, PlannedLayer, RowChecksum, ShardFaults, MAX_HEAL_ROUNDS,
 };
 use crate::network::{
     finish_layer_output, host_projection, LayerExecution, NetworkExecution, NetworkWeights,
@@ -450,6 +450,9 @@ fn run_resident_shard(
         injector: &task.injector,
         layer_index: task.layer_index,
     };
+    // Decided once per shard: with faults off every emit-fault site is
+    // `None`, so groups scatter without consulting the injector per channel.
+    let emit_faults = task.injector.is_enabled();
     // Worker-fault sites are keyed `(layer, row)` — decide them for every row
     // the shard owns before any work. A panic here is genuine: it unwinds
     // into the worker's `catch_unwind` so supervision, respawn and requeue
@@ -549,39 +552,37 @@ fn run_resident_shard(
                             dispatch_base + co0 as u64,
                         );
                         for (b, &(e, slot, _iy)) in block.iter().enumerate() {
-                            let base = (e * rows.len() + slot) * row_stride;
-                            retire_chunk_group(
-                                pe,
-                                chunk,
-                                stream,
-                                group,
-                                b * stream,
-                                layer,
-                                |k, slots| {
-                                    let row = &mut buffer[base + (co0 + k) * width..][..width];
-                                    let mut ox = chunk.ox_start;
-                                    match faults.emit_fault(
-                                        rows[slot],
-                                        dispatch_base + co0 as u64,
-                                        co0 + k,
-                                    ) {
-                                        Some(EmitFault::StuckLane | EmitFault::DroppedUop) => {}
-                                        Some(EmitFault::DuplicatedUop) => {
-                                            for &value in slots {
-                                                row[ox] += value;
-                                                row[ox] += value;
-                                                ox += chunk.col_step;
-                                            }
-                                        }
-                                        None => {
-                                            for &value in slots {
-                                                row[ox] += value;
-                                                ox += chunk.col_step;
-                                            }
-                                        }
-                                    }
-                                },
-                            )?;
+                            let produced =
+                                retire_chunk_group(pe, chunk, stream, group, b * stream, layer)?;
+                            // This row slot's rows of channels `co0..co0 + group`.
+                            let base = (e * rows.len() + slot) * row_stride + co0 * width;
+                            let group_rows = &mut buffer[base..base + group * width];
+                            if !emit_faults {
+                                match chunk.cols {
+                                    1 => scatter_group::<1>(group_rows, width, produced, chunk),
+                                    2 => scatter_group::<2>(group_rows, width, produced, chunk),
+                                    3 => scatter_group::<3>(group_rows, width, produced, chunk),
+                                    _ => scatter_group::<0>(group_rows, width, produced, chunk),
+                                }
+                                continue;
+                            }
+                            let channels = group_rows
+                                .chunks_exact_mut(width)
+                                .zip(produced.chunks_exact(chunk.cols));
+                            for (k, (row, slots)) in channels.enumerate() {
+                                let adds = match faults.emit_fault(
+                                    rows[slot],
+                                    dispatch_base + co0 as u64,
+                                    co0 + k,
+                                ) {
+                                    Some(EmitFault::StuckLane | EmitFault::DroppedUop) => 0,
+                                    Some(EmitFault::DuplicatedUop) => 2,
+                                    None => 1,
+                                };
+                                for _ in 0..adds {
+                                    scatter_group::<0>(row, width, slots, chunk);
+                                }
+                            }
                         }
                         co0 += group;
                     }
@@ -603,6 +604,29 @@ fn run_resident_shard(
     let mut counts = pe.counts();
     counts.register_file_writes -= load_words;
     Ok((pe.busy_cycles(), counts, work_units, checks))
+}
+
+/// Scatter-adds one channel group's produced words into the group's output
+/// rows in one pass: `rows` holds `group` channel rows `width` words wide,
+/// and `produced` is [`retire_chunk_group`]'s channel-major slice, whose
+/// word `k * cols + c` adds into row `k` at column
+/// `ox_start + c * col_step`. `C` is `chunk.cols` when known at compile
+/// time, so narrow chunks pay no per-channel loop setup, or 0 for any width.
+fn scatter_group<const C: usize>(
+    rows: &mut [f32],
+    width: usize,
+    produced: &[f32],
+    chunk: &ColumnChunk,
+) {
+    let cols = if C == 0 { chunk.cols } else { C };
+    for (row, slots) in rows
+        .chunks_exact_mut(width)
+        .zip(produced.chunks_exact(cols))
+    {
+        for (c, &value) in slots.iter().enumerate() {
+            row[chunk.ox_start + c * chunk.col_step] += value;
+        }
+    }
 }
 
 /// The compile-once, run-many inference engine: a persistent worker pool plus
@@ -1564,7 +1588,11 @@ mod tests {
         let spec = FaultSpec::seeded(
             0xFA11,
             40_000,
-            FaultKind::INPUT_FLIP | FaultKind::WEIGHT_FLIP | FaultKind::STUCK_LANE,
+            FaultKind::INPUT_FLIP
+                | FaultKind::WEIGHT_FLIP
+                | FaultKind::STUCK_LANE
+                | FaultKind::DUP_UOP
+                | FaultKind::DROP_UOP,
         );
         let machine = faulty_machine(spec);
         // The same seed corrupts the one-shot path identically.

@@ -984,24 +984,23 @@ fn expand_rows<const T: usize>(
 }
 
 /// Dispatches one chunk × channel-group program against the input stream
-/// resident at `input_base`, retires it as one burst, and hands each
-/// channel's produced partial sums to `emit(k, slots)` (`k` indexes the
-/// channel within the group; `slots[c]` belongs to output column
-/// `ox_start + c * col_step`). The slice form lets callers scatter with a
-/// tight per-row loop instead of a bounds-checked store per element.
+/// resident at `input_base`, retires it as one burst, and returns the
+/// `group × cols` words it produced, channel-major: word `k * cols + c`
+/// belongs to channel `k` of the group and output column
+/// `ox_start + c * col_step`. Handing back the whole slice lets the caller
+/// scatter a group in one pass instead of one call per channel.
 ///
 /// # Errors
 /// [`MachineError::Timeout`] when the PE fails to drain within the chunk's
 /// work-derived budget, and [`MachineError::UopOverflow`] from the dispatch.
-pub(crate) fn retire_chunk_group(
-    pe: &mut ProcessingEngine,
+pub(crate) fn retire_chunk_group<'pe>(
+    pe: &'pe mut ProcessingEngine,
     chunk: &ColumnChunk,
     stream: usize,
     group: usize,
     input_base: usize,
     layer: &Layer,
-    mut emit: impl FnMut(usize, &[f32]),
-) -> Result<(), MachineError> {
+) -> Result<&'pe [f32], MachineError> {
     dispatch_group(pe, chunk, stream, group, input_base, layer)?;
     pe.run_until_idle_burst(chunk_cycle_budget(chunk) * group as u64);
     if !pe.is_idle() {
@@ -1009,11 +1008,7 @@ pub(crate) fn retire_chunk_group(
             layer: layer.name.clone(),
         });
     }
-    let produced = pe.output_contents();
-    for k in 0..group {
-        emit(k, &produced[k * chunk.cols..(k + 1) * chunk.cols]);
-    }
-    Ok(())
+    Ok(&pe.output_contents()[..group * chunk.cols])
 }
 
 /// Configures the index generators for one chunk × channel-group dispatch

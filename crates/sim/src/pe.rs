@@ -534,6 +534,14 @@ impl ProcessingEngine {
     /// The caller has already proven operand supply covers
     /// `pairs × repeats` repetitions (the `pair_cap` bound), which with empty
     /// FIFOs means each operand generator supplies the whole dispatch.
+    ///
+    /// Two branches compute the values. The machine's chunk dispatch — both
+    /// operand windows holding whole programs, both positions on a program
+    /// boundary, an output run that does not wrap — retires replay by replay
+    /// in [`mac_replays`], whose host cost per program does not depend on how
+    /// many programs a replay holds. Any other window (mid-program resume,
+    /// wrapping output run) takes the per-program loop that splits runs at
+    /// every wrap.
     fn retire_uniform_dispatch(&mut self, pairs: u64, repeats: u64) -> bool {
         let in_idx = AddrGenKind::Input.index();
         let wt_idx = AddrGenKind::Weight.index();
@@ -580,50 +588,24 @@ impl ProcessingEngine {
         let mut acc = self.execute.accumulator();
         let contiguous = (out_cur + pairs <= out_end).then(|| (out_base + out_cur) as usize);
         let r = repeats as usize;
-        let aligned = contiguous.is_some()
-            && (in_end - in_base) % r == 0
+        let aligned = (in_end - in_base) % r == 0
             && (in_end - in_pos) % r == 0
             && (wt_end - wt_base) % r == 0
             && (wt_end - wt_pos) % r == 0;
-        if aligned {
-            // The machine's dispatch shape: both operand windows hold whole
-            // programs and both positions sit on a program boundary, so the
-            // dispatch decomposes into *sweeps* — the longest stretch of
-            // whole programs before either window wraps. Inside a sweep every
-            // program is a straight `r`-word slice pair, so the hot loop
-            // carries no window arithmetic; all division happens here, once.
-            let out0 = contiguous.expect("aligned implies a contiguous output run");
-            let in_full = (in_end - in_base) / r;
-            let wt_full = (wt_end - wt_base) / r;
-            let mut in_avail = (in_end - in_pos) / r;
-            let mut wt_avail = (wt_end - wt_pos) / r;
-            let mut j = 0usize;
-            let mut left = pairs as usize;
-            while left > 0 {
-                let sweep = in_avail.min(wt_avail).min(left);
-                for _ in 0..sweep {
-                    let lhs = &in_data[in_pos..in_pos + r];
-                    let rhs = &wt_data[wt_pos..wt_pos + r];
-                    for (a, b) in lhs.iter().zip(rhs) {
-                        acc += a * b;
-                    }
-                    out_data[out0 + j] = acc;
-                    acc = 0.0;
-                    j += 1;
-                    in_pos += r;
-                    wt_pos += r;
-                }
-                left -= sweep;
-                in_avail -= sweep;
-                if in_avail == 0 {
-                    in_pos = in_base;
-                    in_avail = in_full;
-                }
-                wt_avail -= sweep;
-                if wt_avail == 0 {
-                    wt_pos = wt_base;
-                    wt_avail = wt_full;
-                }
+        if let Some(out0) = contiguous.filter(|_| aligned) {
+            // The tap count is matched once per dispatch, so the replay loop
+            // and its dot products are compiled for it.
+            let input = &in_data[in_base..in_end];
+            let weights = &wt_data[wt_base..wt_end];
+            let (in_at, wt_at) = (in_pos - in_base, wt_pos - wt_base);
+            let dst = &mut out_data[out0..out0 + pairs as usize];
+            match r {
+                1 => mac_replays::<1>(r, input, in_at, weights, wt_at, dst, acc),
+                2 => mac_replays::<2>(r, input, in_at, weights, wt_at, dst, acc),
+                3 => mac_replays::<3>(r, input, in_at, weights, wt_at, dst, acc),
+                4 => mac_replays::<4>(r, input, in_at, weights, wt_at, dst, acc),
+                5 => mac_replays::<5>(r, input, in_at, weights, wt_at, dst, acc),
+                _ => mac_replays::<0>(r, input, in_at, weights, wt_at, dst, acc),
             }
         } else {
             // Off-boundary windows (mid-pair resume, wrapping output run):
@@ -1059,6 +1041,70 @@ impl ProcessingEngine {
             local_uop_fetches: self.uop_fetches,
             global_uop_fetches: 0,
         }
+    }
+}
+
+/// Retires an aligned uniform dispatch of `dst.len()` `r`-repetition `mac`
+/// programs into `dst`. The input and weight windows hold whole programs,
+/// and the walk starts `in_pos` / `wt_pos` words into them, on program
+/// boundaries; program 0 continues from `carry`. `R` is `r` when known at
+/// compile time, or 0 for any `r`.
+///
+/// The outer loop runs over whole replays of the input window, zipping the
+/// window's programs with the matching weight and output slices, so a replay
+/// costs one iterator step however few programs it holds. A replay entered
+/// partway (the head) and one the dispatch ends inside (the tail) take the
+/// same zipped pass over their part of the window; a wrap of the weight
+/// window starts a new segment.
+fn mac_replays<const R: usize>(
+    r: usize,
+    input: &[f32],
+    mut in_pos: usize,
+    weights: &[f32],
+    mut wt_pos: usize,
+    mut dst: &mut [f32],
+    mut carry: f32,
+) {
+    let r = if R == 0 { r } else { R };
+    let programs_per_replay = input.len() / r;
+    while !dst.is_empty() {
+        let n = ((weights.len() - wt_pos) / r).min(dst.len());
+        let (segment, rest) = std::mem::take(&mut dst).split_at_mut(n);
+        let head = ((input.len() - in_pos) / r).min(n);
+        let (head_wts, wts) = weights[wt_pos..wt_pos + n * r].split_at(head * r);
+        let (head_out, outs) = segment.split_at_mut(head);
+        mac_programs::<R>(r, &input[in_pos..], head_wts, head_out, carry);
+        let mut replay_wts = wts.chunks_exact(input.len());
+        let mut replay_outs = outs.chunks_exact_mut(programs_per_replay);
+        for (w, out) in (&mut replay_wts).zip(&mut replay_outs) {
+            mac_programs::<R>(r, input, w, out, 0.0);
+        }
+        let tail_out = replay_outs.into_remainder();
+        mac_programs::<R>(r, input, replay_wts.remainder(), tail_out, 0.0);
+        carry = 0.0;
+        dst = rest;
+        // A segment ends where the weight window wraps, or ends the dispatch.
+        in_pos = (in_pos + n * r) % input.len();
+        wt_pos = 0;
+    }
+}
+
+/// Retires consecutive `r`-repetition `mac` programs: `dst[j]` receives the
+/// dot product of the `j`-th `r`-word slices of `lhs` and `rhs`, accumulated
+/// from `0.0` in slice order exactly as `ExecuteEngine::execute` does, except
+/// that program 0 continues from the carried-in accumulator `carry`. `R` is
+/// `r` when known at compile time — the chunk width is then a constant, so
+/// each program is a fixed-size dot the compiler unrolls — or 0 for any `r`.
+fn mac_programs<const R: usize>(r: usize, lhs: &[f32], rhs: &[f32], dst: &mut [f32], carry: f32) {
+    let r = if R == 0 { r } else { R };
+    let mut init = carry;
+    for ((a, b), out) in lhs.chunks_exact(r).zip(rhs.chunks_exact(r)).zip(dst) {
+        let mut acc = init;
+        for (x, y) in a.iter().zip(b) {
+            acc += x * y;
+        }
+        *out = acc;
+        init = 0.0;
     }
 }
 
@@ -1589,43 +1635,63 @@ mod tests {
 
         /// Virtually-pushed uniform dispatches (`try_push_mac_pairs`) retire
         /// bit-identically to a single-stepped PE fed the same µops one by
-        /// one — across operand offsets, replayed input rounds, operand
-        /// undersupply (forcing partial retirement through the per-program
-        /// fallback) and output FIFOs much smaller than the dispatch (the
-        /// stall steady-state collapse).
+        /// one — across every fixed-size dot of the aligned sweep (tap counts
+        /// 1–5) and its generic fallback (6–8), operand offsets, input
+        /// windows holding whole programs (the machine's shape) or cut
+        /// mid-program, up to six replayed input rounds and two weight
+        /// rounds, an input stream entered partway through a replay
+        /// (`in_lead` programs in) and a weight stream likewise
+        /// (`wt_lead`), operand undersupply (forcing partial
+        /// retirement through the per-program fallback) and output FIFOs
+        /// much smaller than the dispatch (the stall steady-state collapse).
         #[test]
         fn prop_virtual_pair_dispatch_equals_single_step(
             cols in 1u16..12,
-            taps in 1u16..6,
+            taps in 1u16..9,
             fifo_entries in 2usize..9,
             in_offset in 0u16..24,
             wt_offset in 0u16..16,
             out_start in 0u16..4,
             undersupply in 0u16..3,
-            rounds in 1u16..4,
+            rounds in 1u16..7,
+            wt_rounds in 1u16..3,
+            ragged in 0u16..2,
+            in_lead in 0u16..3,
+            wt_lead in 0u16..3,
         ) {
             let total = cols * taps;
             let operand_end = total.saturating_sub(undersupply).max(1);
-            let in_end = operand_end.div_ceil(rounds).max(1);
+            let in_end = if ragged == 1 {
+                operand_end.div_ceil(rounds).max(1)
+            } else {
+                taps * cols.div_ceil(rounds)
+            };
+            let wt_end = operand_end.div_ceil(wt_rounds).max(1);
+            // Starting `in_lead` programs into the input window costs the
+            // first replay those words; one more round keeps the supply whole.
+            let in_start = (in_lead * taps) % in_end;
+            let in_rounds = rounds + u16::from(in_start > 0);
+            let wt_start = (wt_lead * taps) % wt_end;
+            let wt_rounds = wt_rounds + u16::from(wt_start > 0);
             let config = PeConfig {
-                input_words: 96,
-                weight_words: 96,
+                input_words: 128,
+                weight_words: 128,
                 output_words: 16,
                 addr_fifo_entries: fifo_entries,
                 uop_fifo_entries: 32,
             };
-            let data: Vec<f32> = (0..96).map(|i| (i as f32) * 0.29 - 4.0).collect();
-            let weights: Vec<f32> = (0..96).map(|i| 2.1 - (i as f32) * 0.17).collect();
+            let data: Vec<f32> = (0..128).map(|i| (i as f32) * 0.29 - 4.0).collect();
+            let weights: Vec<f32> = (0..128).map(|i| 2.1 - (i as f32) * 0.17).collect();
             let mut reference = ProcessingEngine::new(config);
             reference.load_input(&data);
             reference.load_weights(&weights);
             let mut fast = reference.clone();
             for pe in [&mut reference, &mut fast] {
                 pe.configure_generator(AddrGenKind::Input, GeneratorConfig {
-                    addr: 0, offset: in_offset, step: 1, end: in_end, repeat: rounds,
+                    addr: in_start, offset: in_offset, step: 1, end: in_end, repeat: in_rounds,
                 });
                 pe.configure_generator(AddrGenKind::Weight, GeneratorConfig {
-                    addr: 0, offset: wt_offset, step: 1, end: operand_end, repeat: 1,
+                    addr: wt_start, offset: wt_offset, step: 1, end: wt_end, repeat: wt_rounds,
                 });
                 pe.configure_linear(AddrGenKind::Output, out_start, 1, out_start + cols, 1);
                 pe.start_all();
