@@ -1,5 +1,6 @@
-//! Machine-focused benches: the burst-stepped fast path versus the seed
-//! single-step serial path, plus a micro-bench of the PE chunk-retire loop.
+//! Machine-focused benches: the engine path versus the seed single-step
+//! serial path, plus micro-benches of one PE chunk retired in closed form and
+//! single-stepped.
 //!
 //! The wall-clock comparison that feeds `BENCH_machine.json` lives in the
 //! `bench_machine` binary (it needs a JSON emitter, not Criterion's report);
@@ -15,9 +16,10 @@ use ganax_sim::{PeConfig, ProcessingEngine};
 fn bench_machine(c: &mut Criterion) {
     let mut group = c.benchmark_group("machine");
 
-    // One chunk of 8 columns x 3 taps dispatched the way the machine's fast
-    // path issues it: gathered linear operand streams, strided output, one
-    // `repeat`+`mac` pair per column, retired as a single burst.
+    // One chunk of 8 columns x 3 taps dispatched the way the machine issues
+    // it: gathered linear operand streams, one output word per column, and
+    // the `repeat`+`mac` pairs pushed virtually, so the PE retires the whole
+    // dispatch in closed form.
     group.bench_function("pe_chunk_retire_8x3", |b| {
         let cols = 8u16;
         let taps = 3u16;
@@ -33,10 +35,7 @@ fn bench_machine(c: &mut Criterion) {
             pe.configure_linear(AddrGenKind::Output, 0, 1, cols, 1);
             pe.start_all();
             pe.set_repeat(taps);
-            for _ in 0..cols {
-                pe.push_uop(ExecUop::Repeat);
-                pe.push_uop(ExecUop::Mac);
-            }
+            pe.try_push_mac_pairs(cols as usize).unwrap();
             pe.run_until_idle_burst(1_000);
             std::hint::black_box(pe.read_output(0))
         })

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Each row records the wall-clock time of the seed single-step path, the
-//! burst-stepped serial fast path and the threaded fast path on one layer
+//! engine fast path on one worker and the threaded fast path on one layer
 //! geometry, plus simulated-cycles-per-second, the resulting speedups, and a
 //! full sweep over the requested thread counts (`--threads` /
 //! `GANAX_BENCH_THREADS`, defaulting to `1,2,4,available`). The fast-path

@@ -5,6 +5,9 @@
 //! cargo run -p ganax-bench --bin figures -- fig8a   # one figure
 //! cargo run -p ganax-bench --bin figures -- --json  # machine-readable dump
 //! ```
+//!
+//! An unknown figure name or flag prints the valid ones and exits with
+//! status 2.
 
 use ganax::compare::ModelComparison;
 use ganax::GanaxConfig;
@@ -12,14 +15,38 @@ use ganax_bench::{all_comparisons, figure1, figure10, figure11, figure8, figure9
 use ganax_energy::{AreaModel, EnergyModel};
 use ganax_models::zoo;
 
+/// Every name the binary accepts, in print order after `all`.
+const SELECTIONS: [&str; 12] = [
+    "all", "table1", "fig1", "table2", "table3", "fig5", "fig8a", "fig8b", "fig9a", "fig9b",
+    "fig10", "fig11",
+];
+
+/// Splits the command line into the `--json` flag and the selected names,
+/// rejecting any other flag or name with the list of valid ones.
+fn parse_args(args: &[String]) -> Result<(bool, Vec<&str>), String> {
+    let mut json = false;
+    let mut selections = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--json" => json = true,
+            name if SELECTIONS.contains(&name) => selections.push(name),
+            other => {
+                return Err(format!(
+                    "unknown argument `{other}`; valid: --json, {}",
+                    SELECTIONS.join(", ")
+                ))
+            }
+        }
+    }
+    Ok((json, selections))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let selections: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
+    let (json, selections) = parse_args(&args).unwrap_or_else(|error| {
+        eprintln!("figures: {error}");
+        std::process::exit(2);
+    });
     let all = selections.is_empty() || selections.contains(&"all");
     let wants = |name: &str| all || selections.contains(&name);
 
@@ -273,4 +300,34 @@ fn print_fig11(comparisons: &[ModelComparison]) {
     let avg_e = rows.iter().map(|r| r.eyeriss_utilization).sum::<f64>() / rows.len() as f64;
     let avg_g = rows.iter().map(|r| r.ganax_utilization).sum::<f64>() / rows.len() as f64;
     println!("{:<10} {:>10} {:>10}", "Average", pct(avg_e), pct(avg_g));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn owned(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn accepts_every_selection_and_the_json_flag() {
+        assert_eq!(parse_args(&[]), Ok((false, vec![])));
+        let args = owned(&["fig8a", "--json"]);
+        assert_eq!(parse_args(&args), Ok((true, vec!["fig8a"])));
+        let args = owned(&SELECTIONS);
+        assert_eq!(parse_args(&args), Ok((false, SELECTIONS.to_vec())));
+    }
+
+    #[test]
+    fn rejects_unknown_names_and_flags_with_the_valid_list() {
+        for bad in ["fig8", "--jsn", "-h"] {
+            let error = parse_args(&owned(&["fig1", bad])).unwrap_err();
+            assert!(error.contains(bad), "{error}");
+            assert!(
+                error.contains("--json") && error.contains("fig11"),
+                "{error}"
+            );
+        }
+    }
 }

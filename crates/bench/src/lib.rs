@@ -302,7 +302,7 @@ pub struct ThreadTiming {
 
 /// One row of the cycle-level machine performance benchmark
 /// (`BENCH_machine.json`): wall-clock time of the seed single-step serial
-/// path versus the burst-stepped fast path (serial and threaded) on one layer
+/// path versus the engine fast path (serial and threaded) on one layer
 /// geometry.
 #[derive(Debug, Clone, Serialize)]
 pub struct MachineBenchRow {
@@ -316,7 +316,7 @@ pub struct MachineBenchRow {
     pub busy_pe_cycles: u64,
     /// Wall-clock milliseconds of the seed single-step serial path.
     pub reference_ms: f64,
-    /// Wall-clock milliseconds of the burst-stepped serial fast path.
+    /// Wall-clock milliseconds of the engine fast path on one worker.
     pub fast_serial_ms: f64,
     /// Wall-clock milliseconds of the threaded fast path at the best swept
     /// thread count.
@@ -501,7 +501,7 @@ fn time_best_of<T>(samples: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (value.expect("at least one sample"), best)
 }
 
-/// Measures the seed single-step serial path against the burst-stepped fast
+/// Measures the seed single-step serial path against the engine fast
 /// paths on every [`machine_bench_layers`] geometry, sweeping the threaded
 /// scheduler over `thread_counts` (see [`bench_thread_counts`]). Every path
 /// is timed best-of-5 so noisy samples cannot skew the recorded speedups,

@@ -256,7 +256,7 @@ pub struct GanaxConfig {
     pub pe: PeConfig,
     /// Worker-PE sizing used by the cycle-level machine's functional fast
     /// path. Defaults to [`PeConfig::deep`] — scratchpads and µop FIFO sized
-    /// so a whole channel group of a full-size layer dispatches in one burst;
+    /// so a whole channel group of a full-size layer dispatches at once;
     /// outputs and counters do not depend on this sizing (only simulation
     /// wall-clock does), as the machine's per-column traffic is invariant
     /// under chunking.

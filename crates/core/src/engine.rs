@@ -899,82 +899,13 @@ impl InferenceEngine {
         compiled: &CompiledNetwork,
         input: &Tensor,
     ) -> Result<NetworkExecution, MachineError> {
-        self.check_compiled(compiled)?;
-        if input.shape() != compiled.network.input_shape() {
-            return Err(MachineError::ShapeMismatch {
-                detail: format!(
-                    "input {} != network input {}",
-                    input.shape(),
-                    compiled.network.input_shape()
-                ),
-            });
-        }
         let start = Instant::now();
-        // One execution = one fault epoch: non-persistent corruption armed in
-        // this epoch fires deterministically here, and a *retry* (the next
-        // epoch) runs clean — transient-fault semantics the serving layer's
-        // retry path relies on.
-        self.injector.begin_epoch();
-        let mut reports = Vec::with_capacity(compiled.layers.len());
-        let mut current = Arc::new(input.clone());
-        for (i, layer) in compiled.network.layers().iter().enumerate() {
-            let layer_start = Instant::now();
-            match &compiled.layers[i] {
-                CompiledLayer::Host => {
-                    let mut out = host_projection(layer, &current, compiled.weights.weight(i))?;
-                    check_finite(&layer.name, &out)?;
-                    finish_layer_output(layer, &mut out, compiled.weights.bias(i));
-                    current = Arc::new(out);
-                    reports.push(LayerExecution {
-                        name: layer.name.clone(),
-                        is_tconv: false,
-                        host: true,
-                        busy_pe_cycles: 0,
-                        work_units: 0,
-                        counts: EventCounts::default(),
-                        balance: 1.0,
-                        wall_seconds: layer_start.elapsed().as_secs_f64(),
-                    });
-                }
-                CompiledLayer::Machine {
-                    layer: shared,
-                    plan,
-                } => {
-                    let inputs = Arc::new(vec![Arc::clone(&current)]);
-                    let run = self.run_layer(shared, plan, i, inputs)?;
-                    let mut outputs = run.outputs;
-                    let Some(mut out) = outputs.pop() else {
-                        return Err(MachineError::PoolUnavailable {
-                            detail: "single-element batch produced no output".into(),
-                        });
-                    };
-                    let max_shard = run.shard_busy.iter().copied().max().unwrap_or(0);
-                    let balance = if max_shard == 0 {
-                        1.0
-                    } else {
-                        run.busy_pe_cycles as f64 / (run.shard_busy.len() as u64 * max_shard) as f64
-                    };
-                    self.check_verified_finite(&layer.name, &out)?;
-                    finish_layer_output(layer, &mut out, compiled.weights.bias(i));
-                    current = Arc::new(out);
-                    reports.push(LayerExecution {
-                        name: layer.name.clone(),
-                        is_tconv: layer.is_tconv(),
-                        host: false,
-                        busy_pe_cycles: run.busy_pe_cycles,
-                        work_units: run.work_units,
-                        counts: run.counts,
-                        balance,
-                        wall_seconds: layer_start.elapsed().as_secs_f64(),
-                    });
-                }
-            }
-        }
+        let (mut outputs, layers) = self.walk_layers(compiled, std::slice::from_ref(input))?;
         Ok(NetworkExecution {
             network: compiled.network.name().to_string(),
             threads: self.threads,
-            layers: reports,
-            output: Arc::try_unwrap(current).unwrap_or_else(|arc| (*arc).clone()),
+            layers,
+            output: outputs.pop().expect("one output per input"),
             wall_seconds: start.elapsed().as_secs_f64(),
             // True by construction: `CompiledLayer::Machine` always carries
             // its plan, so this path contains no planning code. CONTRACT for
@@ -999,6 +930,31 @@ impl InferenceEngine {
         compiled: &CompiledNetwork,
         inputs: &[Tensor],
     ) -> Result<BatchExecution, MachineError> {
+        let start = Instant::now();
+        let (outputs, layers) = self.walk_layers(compiled, inputs)?;
+        Ok(BatchExecution {
+            network: compiled.network.name().to_string(),
+            threads: self.threads,
+            outputs,
+            busy_pe_cycles: layers.iter().map(|l| l.busy_pe_cycles).sum(),
+            counts: layers.iter().map(|l| l.counts).sum(),
+            work_units: layers.iter().map(|l| l.work_units).sum(),
+            wall_seconds: start.elapsed().as_secs_f64(),
+        })
+    }
+
+    /// The layer walk behind [`InferenceEngine::execute`] and
+    /// [`InferenceEngine::execute_batch`]: checks the inputs, opens one fault
+    /// epoch, and runs every layer for the whole batch — host projections on
+    /// the calling thread, PE-array layers through [`InferenceEngine::run_layer`]
+    /// — guarding each raw output against non-finite values before its bias
+    /// and activation. Returns the final outputs in input order and one
+    /// report per layer, aggregated over the batch.
+    fn walk_layers(
+        &self,
+        compiled: &CompiledNetwork,
+        inputs: &[Tensor],
+    ) -> Result<(Vec<Tensor>, Vec<LayerExecution>), MachineError> {
         self.check_compiled(compiled)?;
         if inputs.is_empty() {
             return Err(MachineError::ShapeMismatch {
@@ -1016,15 +972,25 @@ impl InferenceEngine {
                 });
             }
         }
-        let start = Instant::now();
-        // One batch = one fault epoch (see `execute`): a retried batch runs
-        // clean of non-persistent corruption.
+        // One call = one fault epoch: non-persistent corruption armed in this
+        // epoch fires deterministically here, and a *retry* (the next epoch)
+        // runs clean — transient-fault semantics the serving layer's retry
+        // path relies on.
         self.injector.begin_epoch();
         let mut currents: Vec<Arc<Tensor>> = inputs.iter().map(|t| Arc::new(t.clone())).collect();
-        let mut busy_pe_cycles = 0u64;
-        let mut counts = EventCounts::default();
-        let mut work_units = 0u64;
+        let mut reports = Vec::with_capacity(compiled.layers.len());
         for (i, layer) in compiled.network.layers().iter().enumerate() {
+            let layer_start = Instant::now();
+            let mut report = LayerExecution {
+                name: layer.name.clone(),
+                is_tconv: false,
+                host: true,
+                busy_pe_cycles: 0,
+                work_units: 0,
+                counts: EventCounts::default(),
+                balance: 1.0,
+                wall_seconds: 0.0,
+            };
             match &compiled.layers[i] {
                 CompiledLayer::Host => {
                     for current in currents.iter_mut() {
@@ -1045,24 +1011,26 @@ impl InferenceEngine {
                         finish_layer_output(layer, &mut out, compiled.weights.bias(i));
                         *current = Arc::new(out);
                     }
-                    busy_pe_cycles += run.busy_pe_cycles;
-                    counts += run.counts;
-                    work_units += run.work_units;
+                    let max_shard = run.shard_busy.iter().copied().max().unwrap_or(0);
+                    if max_shard > 0 {
+                        report.balance = run.busy_pe_cycles as f64
+                            / (run.shard_busy.len() as u64 * max_shard) as f64;
+                    }
+                    report.is_tconv = layer.is_tconv();
+                    report.host = false;
+                    report.busy_pe_cycles = run.busy_pe_cycles;
+                    report.work_units = run.work_units;
+                    report.counts = run.counts;
                 }
             }
+            report.wall_seconds = layer_start.elapsed().as_secs_f64();
+            reports.push(report);
         }
-        Ok(BatchExecution {
-            network: compiled.network.name().to_string(),
-            threads: self.threads,
-            outputs: currents
-                .into_iter()
-                .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()))
-                .collect(),
-            busy_pe_cycles,
-            counts,
-            work_units,
-            wall_seconds: start.elapsed().as_secs_f64(),
-        })
+        let outputs = currents
+            .into_iter()
+            .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()))
+            .collect();
+        Ok((outputs, reports))
     }
 
     /// Runs one PE-array layer for every element of `inputs` through the

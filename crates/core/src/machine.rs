@@ -19,9 +19,10 @@
 //!   consequential column runs per output column, and the (flipped, for
 //!   transposed convolutions) weight rows — out of the inner loop, making the
 //!   hot path allocation-free;
-//! * **burst-stepped PEs** ([`ProcessingEngine::run_until_idle_burst`]) retire
-//!   each provably stall-free repeated-`mac` run in one call instead of one
-//!   cycle at a time;
+//! * **closed-form chunk retire** ([`ProcessingEngine::run_until_idle_burst`])
+//!   settles a whole chunk × channel-group dispatch — hundreds of
+//!   `repeat`+`mac` programs — in one call instead of one cycle at a time;
+//!   a PE state outside that canonical shape is single-stepped;
 //! * **a multi-threaded PE-array scheduler**
 //!   ([`GanaxMachine::execute_layer_threaded`]) runs the layer once on a
 //!   one-shot [`InferenceEngine`](crate::InferenceEngine), the serving hot
@@ -661,7 +662,7 @@ impl GanaxMachine {
     /// Executes one 2-D convolution or transposed-convolution layer, returning
     /// the computed output and the activity counters.
     ///
-    /// Uses the fast path (per-layer plan + burst-stepped PEs) on a worker
+    /// Uses the fast path (per-layer plan + closed-form chunk retire) on a worker
     /// count chosen from [`std::thread::available_parallelism`]; results are
     /// bit-identical to [`GanaxMachine::execute_layer_reference`] and to any
     /// other thread count.
@@ -754,7 +755,7 @@ impl GanaxMachine {
     }
 
     /// Executes one layer on the seed one-cycle-at-a-time serial path: one PE,
-    /// [`ProcessingEngine::run_until_idle`] (no bursts), and per-work-unit
+    /// [`ProcessingEngine::run_until_idle`] (no closed-form retire), and per-work-unit
     /// row/weight gathering. Kept as the named oracle the engine path is
     /// property-tested against — and benchmarked against in
     /// `BENCH_machine.json`.
@@ -984,7 +985,9 @@ fn expand_rows<const T: usize>(
 }
 
 /// Dispatches one chunk × channel-group program against the input stream
-/// resident at `input_base`, retires it as one burst, and returns the
+/// resident at `input_base`, retires it in closed form through
+/// [`ProcessingEngine::run_until_idle_burst`] (every dispatch has the
+/// canonical uniform shape, so no cycle is single-stepped), and returns the
 /// `group × cols` words it produced, channel-major: word `k * cols + c`
 /// belongs to channel `k` of the group and output column
 /// `ox_start + c * col_step`. Handing back the whole slice lets the caller
@@ -1540,7 +1543,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Across random conv/tconv geometries, the burst-stepped fast path
+        /// Across random conv/tconv geometries, the engine fast path
         /// (serial and threaded) produces outputs, `busy_pe_cycles` and
         /// `EventCounts` bit-identical to the seed single-step serial path.
         #[test]

@@ -135,9 +135,9 @@ impl AccessEngine {
         self.stall_cycles = 0;
     }
 
-    /// Splits the engine into its generators, FIFOs and stall counter so a
-    /// burst-stepping PE can drain addresses and fix up bookkeeping while
-    /// holding disjoint borrows. Index both arrays with
+    /// Splits the engine into its generators, FIFOs and stall counter so the
+    /// PE's closed-form retire can settle their bookkeeping while holding
+    /// disjoint borrows. Index both arrays with
     /// [`AddrGenKind::index`].
     pub(crate) fn burst_parts(
         &mut self,

@@ -81,16 +81,6 @@ impl<T> Bounded<T> {
         item
     }
 
-    /// Pops the oldest `n` items as one drain (counted like `n` pops).
-    ///
-    /// # Panics
-    /// Panics if fewer than `n` items are queued.
-    fn drain_front(&mut self, n: usize) -> std::collections::vec_deque::Drain<'_, T> {
-        assert!(n <= self.items.len(), "drain of {n} exceeds queue length");
-        self.pops += n as u64;
-        self.items.drain(..n)
-    }
-
     fn peek(&self) -> Option<&T> {
         self.items.front()
     }
@@ -186,8 +176,8 @@ impl AddrFifo {
     }
 
     /// Records `n` addresses that logically transited the FIFO without being
-    /// materialized (a burst-stepped PE hands generator output straight to the
-    /// execute µ-engine). Keeps the push/pop energy counters identical to the
+    /// materialized (a closed-form retire hands generator output straight to
+    /// the execute µ-engine). Keeps the push/pop energy counters identical to the
     /// single-step path.
     pub(crate) fn note_passthrough(&mut self, n: u64) {
         self.inner.pushes += n;
@@ -312,8 +302,8 @@ impl UopFifo {
     }
 
     /// The whole queue as untouched uniform `repeat`+`mac` pairs, if that is
-    /// what it holds — the burst-stepping PE retires such a queue per dispatch
-    /// without walking it.
+    /// what it holds — the PE retires such a queue per dispatch without
+    /// walking it.
     pub(crate) fn uniform_pairs(&self) -> Option<usize> {
         (self.inner.items.is_empty()
             && self.virtual_uops > 0
@@ -364,9 +354,8 @@ impl UopFifo {
         self.virtual_uops = 0;
     }
 
-    /// Iterates the queued µops oldest-first without consuming them (the
-    /// burst-stepping PE peeks ahead to recognize a dispatchable program).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &ExecUop> {
+    /// Iterates the queued µops oldest-first without consuming them.
+    fn iter(&self) -> impl Iterator<Item = &ExecUop> {
         let total = self.virtual_uops;
         self.inner.items.iter().chain((0..total).map(move |i| {
             if (total - i).is_multiple_of(2) {
@@ -377,20 +366,6 @@ impl UopFifo {
         }))
     }
 
-    /// Pops the oldest `n` µops as one drain — the burst-stepping PE fetches
-    /// a whole proven program queue at once. Counted like `n` pops.
-    /// Materializes any virtual pairs first (the uniform fast path uses
-    /// [`UopFifo::consume_front`] instead and never lands here).
-    pub(crate) fn drain_front(
-        &mut self,
-        n: usize,
-    ) -> std::collections::vec_deque::Drain<'_, ExecUop> {
-        if self.virtual_uops > 0 {
-            self.materialize();
-        }
-        self.inner.drain_front(n)
-    }
-
     /// Removes the oldest `n` µops without yielding them (counted like `n`
     /// pops) — the per-dispatch retire path already knows their shape.
     ///
@@ -399,12 +374,9 @@ impl UopFifo {
     pub(crate) fn consume_front(&mut self, n: usize) {
         assert!(n <= self.len(), "consume of {n} exceeds queue length");
         let from_inner = n.min(self.inner.items.len());
-        if from_inner > 0 {
-            drop(self.inner.drain_front(from_inner));
-        }
-        let from_virtual = n - from_inner;
-        self.virtual_uops -= from_virtual;
-        self.inner.pops += from_virtual as u64;
+        self.inner.items.drain(..from_inner);
+        self.virtual_uops -= n - from_inner;
+        self.inner.pops += n as u64;
     }
 }
 
@@ -552,18 +524,5 @@ mod tests {
         assert_eq!(virt.len(), 2);
         assert_eq!(virt.peek(), Some(ExecUop::Repeat));
         assert_eq!(virt.uniform_pairs(), Some(1));
-    }
-
-    #[test]
-    fn drain_front_materializes_virtual_pairs() {
-        let mut fifo = UopFifo::new(16);
-        fifo.try_push_mac_pairs(4).unwrap();
-        let drained: Vec<ExecUop> = fifo.drain_front(3).collect();
-        assert_eq!(
-            drained,
-            vec![ExecUop::Repeat, ExecUop::Mac, ExecUop::Repeat]
-        );
-        assert_eq!(fifo.len(), 5);
-        assert_eq!(fifo.peek(), Some(ExecUop::Mac));
     }
 }

@@ -111,7 +111,7 @@ impl StridedIndexGenerator {
     }
 
     /// Number of addresses the generator will still produce before stopping,
-    /// capped at `limit` (so callers proving a bounded stall-free burst never
+    /// capped at `limit` (so callers proving a bounded operand supply never
     /// pay for pathological `end × repeat` replay lengths). Computed by
     /// replaying the *current* state on a scratch copy, so it is exact up to
     /// the cap even mid-run.
@@ -119,7 +119,7 @@ impl StridedIndexGenerator {
         if !self.running {
             return 0;
         }
-        // Closed forms for the cases hot in burst-stepped simulation:
+        // Closed forms for the cases hot in closed-form retire:
         // addresses left before the wrap that stops the run, and step-1
         // multi-round replays (each replayed round walks `end` addresses).
         if self.current < self.config.end {
@@ -144,7 +144,7 @@ impl StridedIndexGenerator {
 
     /// If every upcoming address is simply `offset + ((current + k) mod end)`
     /// — the generator walks with step 1, wrapping straight to 0 — returns
-    /// the *relative* `(current, end)` pair. Burst-stepping adds
+    /// the *relative* `(current, end)` pair. The closed-form retire adds
     /// [`GeneratorConfig::offset`] (see [`StridedIndexGenerator::offset`]) to
     /// turn the window into absolute scratchpad addresses and replaces
     /// per-tick calls with slice windows; [`Self::advance_wrapping`] settles

@@ -84,7 +84,7 @@ impl Scratchpad {
         self.data[addr as usize]
     }
 
-    /// Charges `n` reads without touching data — a burst-stepping PE reads
+    /// Charges `n` reads without touching data — a closed-form retire reads
     /// through [`Scratchpad::contents`] and settles the counter once.
     pub(crate) fn charge_reads(&mut self, n: u64) {
         self.reads += n;
